@@ -51,7 +51,6 @@ from .decompose import (
 from .digitnum import DigitVector
 from .errors import (
     B2SetsError,
-    DigitOverflow,
     EmptyConstruction,
     InternalVerificationFailure,
     NoPrimeFound,

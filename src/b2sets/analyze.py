@@ -2,24 +2,31 @@
 checks, additive energy, sumset disjointness, collision censuses, and
 subset doubling audits.
 
-Everything here is exact integer counting. Elements may be integers,
-DigitVectors, or pairs of either (for the planar product family); they
-are canonicalized once to integer keys, which is a bijection because
-balanced base-5 expansions are unique, and all pair enumeration then runs
-on native integers. Where a full value->count map would be large, counts
-are collected in two passes: a first pass tallies a cheap deterministic
-surrogate (the builtin integer hash), a second pass resolves every
-suspicious value by its exact key, so reported counts are exact while
-memory stays proportional to the number of repeated values.
+Everything here is exact counting on plain Python ints. Integers and
+DigitVectors are compared by their integer values. Planar points (the
+product family) go through one order-preserving map into the integers,
+``f2_embed`` of the reversed coordinates: the first coordinate is the
+most significant and the base exceeds four times the largest coordinate
+magnitude. The map preserves every sum and difference relation in both
+directions, int order is the lexicographic order of the points, and the
+sign of an int is the sign of its point's first nonzero coordinate.
+Values handed back to callers are decoded to points.
 
-Conventions, pinned once and used everywhere:
+All pair enumeration runs through one kernel over the keys sorted in
+descending order. Where a full value->count map would be large, counts
+are collected in two passes: a first pass tallies a cheap deterministic
+surrogate (the builtin integer hash), a second pass counts exactly every
+value whose surrogate repeats, so reported counts are exact while memory
+stays proportional to the number of repeated values.
+
+Conventions, pinned once in the kernel:
 
 * sum mode counts unordered pairs {a, b}, a = b allowed and counted once;
 * diff mode counts ordered pairs (a, b), a != b, per nonzero value; the
   profile stores one entry per +-value class in its positive orientation
   (counts for v and -v are equal), and zero is reported separately;
 * witnesses are selected deterministically, smallest values first (for
-  differences: smallest magnitude, positive orientation first).
+  differences: smallest positive-orientation value first).
 """
 
 from __future__ import annotations
@@ -28,10 +35,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, compress, starmap
+from operator import add, sub
 
-from .construct import SetFamily
+from .construct import SetFamily, f2_embed
 from .digitnum import DigitVector
-from .errors import ParameterError, ResourceCap
+from .errors import InternalVerificationFailure, ParameterError, ResourceCap
 
 ENERGY_PAIR_BUDGET = 5 * 10**7
 FULL_MAP_PAIR_LIMIT = 200_000
@@ -44,6 +53,7 @@ AUDIT_TABLE_LIMIT = 3000
 
 
 def canonical_key(x):
+    """An element as an int, or a planar point as a tuple of ints."""
     if isinstance(x, DigitVector):
         return x.to_integer()
     if isinstance(x, int):
@@ -53,77 +63,141 @@ def canonical_key(x):
     raise ParameterError(f"cannot canonicalize element {x!r}")
 
 
-def canonical_keys(elements) -> list:
-    keys = [canonical_key(x) for x in elements]
-    if len(set(keys)) != len(keys):
+def canonical_keys(elements):
+    """Distinct elements as int keys, and the decoder that turns a key, or
+    a sum or difference of two keys, back into an element-space value."""
+    points = [canonical_key(x) for x in elements]
+    if len(set(points)) != len(points):
         raise ParameterError("elements must be distinct")
-    return keys
+    return _int_keys(points)
 
 
-def kadd(a, b):
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
+def _int_keys(points):
+    """Int keys for distinct canonical points, and their decoder.
 
-
-def ksub(a, b):
-    if isinstance(a, tuple):
-        return tuple(x - y for x, y in zip(a, b))
-    return a - b
-
-
-def kneg(a):
-    if isinstance(a, tuple):
-        return tuple(-x for x in a)
-    return -a
-
-
-def kpositive(a) -> bool:
-    """Canonical orientation: first nonzero coordinate positive."""
-    if isinstance(a, tuple):
-        for x in a:
-            if x:
-                return x > 0
-        return False
-    return a > 0
-
-
-def _diff_sort_token(v):
-    """Order difference classes by magnitude, positive orientation first."""
-    if isinstance(v, tuple):
-        return (v if kpositive(v) else kneg(v), 0 if kpositive(v) else 1)
-    return (abs(v), 0 if v > 0 else 1)
-
-
-# -- exact multiplicity counting -------------------------------------------
-
-
-def exact_group_counts(stream_factory, extra_keys=()):
-    """Exact multiplicities for repeated values in a re-runnable stream.
-
-    ``stream_factory()`` yields (key, payload) pairs; keys must be
-    hashable with a deterministic builtin hash (ints and int tuples are).
-    Returns (groups, lonely): ``groups`` maps each key whose surrogate
-    hash was seen at least twice, or that matches ``extra_keys``, to the
-    list of its payloads (grouped by exact key equality, so surrogate
-    collisions cannot merge distinct values); ``lonely`` counts the
-    remaining stream items, each the unique occurrence of its key.
+    Planar points go through ``f2_embed`` of the reversed coordinates, so
+    the first coordinate is the most significant and the base, five times
+    the largest coordinate magnitude, exceeds four times it: key order is
+    the lexicographic order of the points, and a key difference has the
+    sign of the first nonzero coordinate difference. The base is 0 only
+    for a lone origin, whose keys and pair values are all 0.
     """
-    surrogate = Counter()
-    total = 0
-    for key, _ in stream_factory():
-        surrogate[hash(key)] += 1
-        total += 1
-    suspicious = {h for h, c in surrogate.items() if c >= 2}
-    suspicious.update(hash(k) for k in extra_keys)
-    del surrogate
+    if not any(isinstance(p, tuple) for p in points):
+        return points, _identity
+    emb = f2_embed([p[::-1] if isinstance(p, tuple) else p for p in points])
+    return list(emb.image), _point_decoder(emb.base or 1, len(emb.points[0]))
+
+
+def _identity(value):
+    return value
+
+
+def _decoded(mapping, decode):
+    # int keys are their own values, so only planar maps are rebuilt
+    if decode is _identity:
+        return mapping
+    return {decode(v): x for v, x in mapping.items()}
+
+
+def _point_decoder(base, dim):
+    # A coordinate of a sum or difference of two points is at most twice
+    # the largest coordinate magnitude, below base/2, so the balanced
+    # base-``base`` digits of the image are the coordinates.
+    half = base // 2
+
+    def decode(value):
+        value //= base
+        coords = []
+        for _ in range(dim):
+            value, digit = divmod(value + half, base)
+            coords.append(digit - half)
+        return tuple(reversed(coords))
+
+    return decode
+
+
+# -- the pair kernel ---------------------------------------------------------
+
+
+def _pair_total(n, mode):
+    if mode == "sum":
+        return n * (n + 1) // 2
+    if mode == "diff":
+        return n * (n - 1) // 2
+    raise ParameterError(f"unknown mode {mode!r}")
+
+
+def _descending(keys):
+    """Input positions from the largest key to the smallest, and the keys
+    in that order."""
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    return order, [keys[i] for i in order]
+
+
+def _pair_values(desc, mode):
+    """Every pair value of keys sorted in descending order: each unordered
+    sum {a, b}, a = b included, once; each difference as larger minus
+    smaller, so it is positive by construction."""
+    if mode == "sum":
+        return starmap(add, combinations_with_replacement(desc, 2))
+    return starmap(sub, combinations(desc, 2))
+
+
+def _pair_positions(order, mode):
+    """Input positions of the pairs, in the sequence of ``_pair_values``,
+    larger key first."""
+    pairs = combinations_with_replacement if mode == "sum" else combinations
+    return pairs(order, 2)
+
+
+def _count_values(desc, mode):
+    """Exact counts of the pair values, and the number of distinct values.
+
+    Up to FULL_MAP_PAIR_LIMIT pairs ``counts`` holds every value. Above
+    it, a first pass tallies the builtin hash of each value, a second pass
+    counts exactly the values whose hash repeats, and ``counts`` keeps the
+    repeated ones. A value missing from ``counts`` occurs exactly once.
+    """
+    if _pair_total(len(desc), mode) <= FULL_MAP_PAIR_LIMIT:
+        counts = Counter(_pair_values(desc, mode))
+        return counts, len(counts)
+    hashes = Counter(map(hash, _pair_values(desc, mode)))
+    suspicious = {h for h, c in hashes.items() if c >= 2}
+    singles = len(hashes) - len(suspicious)
+    del hashes
+    flags = map(suspicious.__contains__, map(hash, _pair_values(desc, mode)))
+    counts = Counter(compress(_pair_values(desc, mode), flags))
+    return {v: c for v, c in counts.items() if c >= 2}, singles + len(counts)
+
+
+def _pair_groups(order, desc, mode, wanted):
+    """Input positions of the pairs of each value in ``wanted``: (i, j)
+    with i <= j for sums, (larger, smaller) for differences."""
     groups: dict = {}
-    kept = 0
-    for key, payload in stream_factory():
-        if hash(key) in suspicious:
-            groups.setdefault(key, []).append(payload)
-            kept += 1
-    return groups, total - kept
+    if not wanted:
+        return groups
+    flags = map(wanted.__contains__, _pair_values(desc, mode))
+    hits = compress(zip(_pair_values(desc, mode), _pair_positions(order, mode)), flags)
+    for value, (i, j) in hits:
+        if mode == "sum" and i > j:
+            i, j = j, i
+        groups.setdefault(value, []).append((i, j))
+    return groups
+
+
+def _pair_counts(keys, mode):
+    """Exact representation counts of the pair values of distinct int keys.
+
+    Returns (counts, distinct, groups): ``counts`` maps every value to its
+    count when there are at most FULL_MAP_PAIR_LIMIT pairs, otherwise every
+    repeated value; ``distinct`` is the number of distinct values; and
+    ``groups`` maps each repeated value to the input positions of its
+    pairs.
+    """
+    order, desc = _descending(keys)
+    counts, distinct = _count_values(desc, mode)
+    repeated = {v for v, c in counts.items() if c >= 2}
+    return counts, distinct, _pair_groups(order, desc, mode, repeated)
 
 
 # -- representation profiles ------------------------------------------------
@@ -140,10 +214,12 @@ class Witness:
 class RepProfile:
     """Exact representation counts for pair sums or differences.
 
-    ``counts`` maps canonical values to counts: the complete map when
+    ``counts`` maps values to counts: the complete map when
     ``counts_complete`` is true (small inputs), otherwise every value
-    with at least two representations. In diff mode each entry stands for
-    the +-class of its value taken in positive orientation, and
+    with at least two representations. ``repeated`` maps every value with
+    at least two representations to the input positions (i, j) of its
+    pairs, oriented like the witness pairs. In diff mode each entry stands
+    for the +-class of its value taken in positive orientation, and
     ``zero_pairs`` reports the |A| trivial representations of zero, which
     are excluded from the counts.
     """
@@ -156,92 +232,40 @@ class RepProfile:
     counts: dict
     counts_complete: bool
     witnesses: list[Witness]
+    repeated: dict
     zero_pairs: int = 0
-
-
-def _profile(keys, elements, mode, witness_cap=WITNESS_CAP):
-    n = len(keys)
-    if mode == "sum":
-
-        def stream():
-            for i in range(n):
-                ki = keys[i]
-                for j in range(i, n):
-                    yield kadd(ki, keys[j]), (i, j)
-
-        total_pairs = n * (n + 1) // 2
-    elif mode == "diff":
-
-        def stream():
-            for i in range(n):
-                ki = keys[i]
-                for j in range(i + 1, n):
-                    d = ksub(ki, keys[j])
-                    if kpositive(d):
-                        yield d, (i, j)
-                    else:
-                        yield kneg(d), (j, i)
-
-        total_pairs = n * (n - 1) // 2
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
-
-    if total_pairs <= FULL_MAP_PAIR_LIMIT:
-        counts = {}
-        for key, _ in stream():
-            counts[key] = counts.get(key, 0) + 1
-        complete = True
-        max_count = max(counts.values(), default=0)
-        groups = {}
-        if max_count >= 2:
-            wanted = {k for k, c in counts.items() if c >= 2}
-            for key, pair in stream():
-                if key in wanted:
-                    groups.setdefault(key, []).append(pair)
-        distinct = len(counts)
-    else:
-        all_groups, lonely = exact_group_counts(stream)
-        distinct = len(all_groups) + lonely
-        max_in_groups = max((len(v) for v in all_groups.values()), default=0)
-        max_count = max(max_in_groups, 1 if total_pairs else 0)
-        counts = {k: len(v) for k, v in all_groups.items() if len(v) >= 2}
-        groups = {k: v for k, v in all_groups.items() if len(v) >= 2}
-        complete = False
-
-    witnesses = []
-    if max_count >= 2:
-        token = (lambda v: v) if mode == "sum" else _diff_sort_token
-        best = sorted(
-            (k for k, c in counts.items() if c == max_count), key=token
-        )[:witness_cap]
-        witnesses = [
-            Witness(
-                value=k,
-                count=counts[k],
-                pairs=tuple(
-                    (elements[i], elements[j]) for i, j in sorted(groups[k])
-                ),
-            )
-            for k in best
-        ]
-    return RepProfile(
-        mode=mode,
-        n_elements=n,
-        total_pairs=total_pairs,
-        distinct_values=distinct,
-        max_count=max_count,
-        counts=counts,
-        counts_complete=complete,
-        witnesses=witnesses,
-        zero_pairs=n if mode == "diff" else 0,
-    )
 
 
 def rep_profile(elements, mode: str, witness_cap: int = WITNESS_CAP) -> RepProfile:
     """Exact per-value representation counts for a list of distinct
     elements, in ``sum`` or ``diff`` mode."""
-    keys = canonical_keys(elements)
-    return _profile(keys, list(elements), mode, witness_cap)
+    items = list(elements)
+    keys, decode = canonical_keys(items)
+    n = len(keys)
+    total = _pair_total(n, mode)
+    counts, distinct, groups = _pair_counts(keys, mode)
+    max_count = max(counts.values(), default=min(total, 1))
+    best = sorted(v for v, pairs in groups.items() if len(pairs) == max_count)
+    witnesses = [
+        Witness(
+            value=decode(v),
+            count=max_count,
+            pairs=tuple((items[i], items[j]) for i, j in sorted(groups[v])),
+        )
+        for v in best[:witness_cap]
+    ]
+    return RepProfile(
+        mode=mode,
+        n_elements=n,
+        total_pairs=total,
+        distinct_values=distinct,
+        max_count=max_count,
+        counts=_decoded(counts, decode),
+        counts_complete=total <= FULL_MAP_PAIR_LIMIT,
+        witnesses=witnesses,
+        repeated=_decoded(groups, decode),
+        zero_pairs=n if mode == "diff" else 0,
+    )
 
 
 @dataclass
@@ -303,50 +327,15 @@ class EnergyReport:
 
 
 def additive_energy(elements, pair_budget: int = ENERGY_PAIR_BUDGET) -> EnergyReport:
-    keys = canonical_keys(elements)
+    keys, _ = canonical_keys(elements)
     n = len(keys)
     if n < 1:
         raise ParameterError("additive_energy requires at least one element")
     if n * n > pair_budget:
         raise ResourceCap(f"{n}^2 pairs exceed the budget {pair_budget}")
-
-    # Sums: off-diagonal unordered counts u(v) plus the diagonal set;
-    # the ordered count is 2*u(v) + (1 if v = a+a for some element a).
-    diag = {kadd(k, k) for k in keys}
-
-    def sum_stream():
-        for i in range(n):
-            ki = keys[i]
-            for j in range(i + 1, n):
-                yield kadd(ki, keys[j]), None
-
-    groups, lonely = exact_group_counts(sum_stream, extra_keys=diag)
-    e_plus = 4 * lonely  # lonely off-diagonal value: ordered count 2
-    sumset_size = len(groups) + lonely
-    for k, payloads in groups.items():
-        r = 2 * len(payloads) + (1 if k in diag else 0)
-        e_plus += r * r
-    for k in diag:
-        if k not in groups:
-            e_plus += 1
-            sumset_size += 1
-
-    # Diffs: canonical-orientation counts c(v); the ordered count of v and
-    # of -v both equal c(v), and zero contributes |A| ordered pairs.
-    def diff_stream():
-        for i in range(n):
-            ki = keys[i]
-            for j in range(i + 1, n):
-                d = ksub(ki, keys[j])
-                yield (d if kpositive(d) else kneg(d)), None
-
-    dgroups, dlonely = exact_group_counts(diff_stream)
-    e_minus = n * n + 2 * dlonely
-    for payloads in dgroups.values():
-        c = len(payloads)
-        e_minus += 2 * c * c
-    diffset_size = 1 + 2 * (len(dgroups) + dlonely)
-
+    _, desc = _descending(keys)
+    e_plus, sumset_size = _sum_energy(desc)
+    e_minus, diffset_size = _diff_energy(desc)
     report = EnergyReport(
         n_elements=n,
         e_plus=e_plus,
@@ -357,10 +346,32 @@ def additive_energy(elements, pair_budget: int = ENERGY_PAIR_BUDGET) -> EnergyRe
         doubling_ratio_diff=Fraction(diffset_size, n * n),
         energy_lower_bound=Fraction(n**4, e_plus),
     )
-    assert report.e_plus == report.e_minus, "ordered sum and difference energies must agree"
-    assert sumset_size >= report.energy_lower_bound
-    assert diffset_size >= Fraction(n**4, e_minus)
+    if e_plus != e_minus:
+        raise InternalVerificationFailure("ordered sum and difference energies disagree")
+    if sumset_size < report.energy_lower_bound or diffset_size < Fraction(n**4, e_minus):
+        raise InternalVerificationFailure("a doubling size is below its Cauchy-Schwarz bound")
     return report
+
+
+def _sum_energy(desc):
+    """Ordered sum quadruples and |A+A|. U(v) unordered pairs, a = b
+    included, give r(v) = 2U(v) - [v in 2A] ordered ones; a value missing
+    from the counts has U(v) = 1."""
+    doubles = {k + k for k in desc}
+    counts, distinct = _count_values(desc, "sum")
+    once = distinct - len(counts)
+    doubles_once = sum(v not in counts for v in doubles)
+    energy = 4 * (once - doubles_once) + doubles_once
+    energy += sum((2 * c - (v in doubles)) ** 2 for v, c in counts.items())
+    return energy, distinct
+
+
+def _diff_energy(desc):
+    """Ordered difference quadruples and |A-A|. A positive value with c(v)
+    pairs has c(v) ordered representations, and so has -v; zero has |A|."""
+    counts, positive = _count_values(desc, "diff")
+    squares = sum(c * c for c in counts.values()) + positive - len(counts)
+    return len(desc) ** 2 + 2 * squares, 1 + 2 * positive
 
 
 # -- family-level checks ------------------------------------------------------
@@ -377,9 +388,11 @@ class DisjointnessReport:
 def family_sumset_disjointness(family: SetFamily) -> DisjointnessReport:
     """Check that the pairwise part sumsets P_i + P_j are disjoint across
     distinct unordered index pairs {i, j}."""
-    part_keys = [
-        [canonical_key(v) for v in values] for values in family.part_values()
-    ]
+    part_points = [[canonical_key(v) for v in values] for values in family.part_values()]
+    points = list(dict.fromkeys(p for part in part_points for p in part))
+    keys, decode = _int_keys(points)
+    key_of = dict(zip(points, keys))
+    part_keys = [[key_of[p] for p in part] for part in part_points]
     k = len(part_keys)
     owner: dict = {}
     collisions: list = []
@@ -387,16 +400,9 @@ def family_sumset_disjointness(family: SetFamily) -> DisjointnessReport:
         for j in range(i, k):
             pair = (i + 1, j + 1)
             if i == j:
-                kk = part_keys[i]
-                values = {
-                    kadd(kk[a], kk[b])
-                    for a in range(len(kk))
-                    for b in range(a, len(kk))
-                }
+                values = set(_pair_values(sorted(part_keys[i], reverse=True), "sum"))
             else:
-                values = {
-                    kadd(a, b) for a in part_keys[i] for b in part_keys[j]
-                }
+                values = {a + b for a in part_keys[i] for b in part_keys[j]}
             for v in values:
                 prev = owner.setdefault(v, pair)
                 if prev != pair:
@@ -404,7 +410,7 @@ def family_sumset_disjointness(family: SetFamily) -> DisjointnessReport:
     if not collisions:
         return DisjointnessReport(True, k * (k + 1) // 2, None, None)
     value, first, second = min(collisions)
-    return DisjointnessReport(False, k * (k + 1) // 2, value, (first, second))
+    return DisjointnessReport(False, k * (k + 1) // 2, decode(value), (first, second))
 
 
 # -- collision census ---------------------------------------------------------
@@ -458,35 +464,12 @@ def collision_census(family: SetFamily, mode: str) -> CensusReport:
     if mode not in ("sum", "diff"):
         raise ParameterError(f"unknown mode {mode!r}")
     elems = family.union_elements()
-    keys = [canonical_key(e.value) for e in elems]
-    n = len(keys)
-
-    if mode == "sum":
-
-        def stream():
-            for i in range(n):
-                ki = keys[i]
-                for j in range(i, n):
-                    yield kadd(ki, keys[j]), (i, j)
-
-    else:
-
-        def stream():
-            for i in range(n):
-                ki = keys[i]
-                for j in range(i + 1, n):
-                    d = ksub(ki, keys[j])
-                    if kpositive(d):
-                        yield d, (i, j)
-                    else:
-                        yield kneg(d), (j, i)
-
-    groups, _ = exact_group_counts(stream)
+    keys, decode = canonical_keys([e.value for e in elems])
+    _, _, groups = _pair_counts(keys, mode)
     vectors = family.code.vectors
     records = []
     predicted = anomalies = 0
-    token = (lambda v: v) if mode == "sum" else _diff_sort_token
-    for value in sorted((k for k, v in groups.items() if len(v) >= 2), key=token):
+    for value in sorted(groups):
         reps = tuple((elems[i], elems[j]) for i, j in sorted(groups[value]))
         classification, pattern, part_pair = _classify_collision(
             reps, vectors, mode, family.kind
@@ -496,12 +479,12 @@ def collision_census(family: SetFamily, mode: str) -> CensusReport:
         else:
             anomalies += 1
         records.append(
-            CollisionRecord(value, reps, part_pair, classification, pattern)
+            CollisionRecord(decode(value), reps, part_pair, classification, pattern)
         )
     return CensusReport(
         mode=mode,
         family_kind=family.kind,
-        n_elements=n,
+        n_elements=len(elems),
         records=records,
         predicted=predicted,
         anomalies=anomalies,
@@ -644,7 +627,7 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
     [min_size, max_size] from a seeded generator. Ratios are exact
     Fractions; |A'-A'| includes zero.
     """
-    keys = canonical_keys(elements)
+    keys, _ = canonical_keys(elements)
     n = len(keys)
     if params.min_size < 2:
         raise ParameterError("min_size must be >= 2")
@@ -666,9 +649,9 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
         nonlocal best_sum, best_diff, argmin_sum, argmin_diff, examined
         examined += 1
         s = len(indices)
-        sums = set()
-        diffs = set()
         if table is not None:
+            sums = set()
+            diffs = set()
             sum_ids, diff_ids = table
             for ai in range(s):
                 ia = indices[ai]
@@ -680,14 +663,9 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
                     sums.add(row_s[ib])
                     diffs.add(row_d[ib])
         else:
-            for ai in range(s):
-                ka = keys[indices[ai]]
-                sums.add(kadd(ka, ka))
-                for bi in range(ai + 1, s):
-                    kb = keys[indices[bi]]
-                    sums.add(kadd(ka, kb))
-                    d = ksub(ka, kb)
-                    diffs.add(d if kpositive(d) else kneg(d))
+            desc = sorted((keys[i] for i in indices), reverse=True)
+            sums = set(_pair_values(desc, "sum"))
+            diffs = set(_pair_values(desc, "diff"))
         rs = Fraction(len(sums), s * s)
         rd = Fraction(1 + 2 * len(diffs), s * s)
         if best_sum is None or rs < best_sum:
@@ -725,25 +703,16 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
 
 
 def _pair_id_tables(keys):
-    """Intern pair sums and canonical differences as small integer ids so
-    repeated subset scans avoid big-integer arithmetic."""
+    """Intern pair sums and positive differences as small integer ids, in
+    one symmetric table per mode, so repeated subset scans avoid
+    big-integer arithmetic."""
     n = len(keys)
-    sum_ids = [[0] * n for _ in range(n)]
-    diff_ids = [[0] * n for _ in range(n)]
-    intern_s: dict = {}
-    intern_d: dict = {}
-    for i in range(n):
-        ki = keys[i]
-        sum_ids[i][i] = intern_s.setdefault(kadd(ki, ki), len(intern_s))
-        for j in range(i + 1, n):
-            kj = keys[j]
-            sid = intern_s.setdefault(kadd(ki, kj), len(intern_s))
-            sum_ids[i][j] = sid
-            sum_ids[j][i] = sid
-            d = ksub(ki, kj)
-            did = intern_d.setdefault(
-                d if kpositive(d) else kneg(d), len(intern_d)
-            )
-            diff_ids[i][j] = did
-            diff_ids[j][i] = did
-    return sum_ids, diff_ids
+    order, desc = _descending(keys)
+    tables = []
+    for mode in ("sum", "diff"):
+        ids: dict = {}
+        table = [[0] * n for _ in range(n)]
+        for value, (i, j) in zip(_pair_values(desc, mode), _pair_positions(order, mode)):
+            table[i][j] = table[j][i] = ids.setdefault(value, len(ids))
+        tables.append(table)
+    return tables

@@ -17,18 +17,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analyze import (
-    canonical_keys,
-    is_b2,
-    is_b2_circ,
-    kadd,
-    kneg,
-    kpositive,
-    ksub,
-    rep_profile,
-)
+from .analyze import canonical_keys, is_b2, is_b2_circ, rep_profile
 from .construct import SetFamily
-from .errors import ParameterError
+from .errors import InternalVerificationFailure, ParameterError
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -77,14 +68,8 @@ class _PartState:
 
     def deltas(self, key, kind):
         if kind == "sum":
-            vals = [kadd(key, m) for m in self.members]
-            vals.append(kadd(key, key))
-        else:
-            vals = []
-            for m in self.members:
-                d = ksub(key, m)
-                vals.append(d if kpositive(d) else kneg(d))
-        return vals
+            return [key + m for m in self.members] + [key + key]
+        return [abs(key - m) for m in self.members]
 
     def add(self, key, vals):
         self.members.append(key)
@@ -114,24 +99,12 @@ class _PartState:
 def _collision_order(keys, kind):
     """Fail-first element order: descending number of repeated values the
     element participates in, ties broken by canonical position."""
-    prof = rep_profile(list(keys), "sum" if kind == "sum" else "diff")
     degree = [0] * len(keys)
-    if prof.counts:
-        repeated = {k for k, c in prof.counts.items() if c >= 2}
-        n = len(keys)
-        for i in range(n):
-            ki = keys[i]
-            for j in range(i if kind == "sum" else i + 1, n):
-                if kind == "sum":
-                    v = kadd(ki, keys[j])
-                else:
-                    v = ksub(ki, keys[j])
-                    if not kpositive(v):
-                        v = kneg(v)
-                if v in repeated:
-                    degree[i] += 1
-                    if j != i:
-                        degree[j] += 1
+    for pairs in rep_profile(keys, kind).repeated.values():
+        for i, j in pairs:
+            degree[i] += 1
+            if j != i:
+                degree[j] += 1
     return sorted(range(len(keys)), key=lambda i: (-degree[i], i))
 
 
@@ -156,7 +129,7 @@ def exact_min_union(
         raise ParameterError(f"unknown kind {kind!r}")
     if g < 1:
         raise ParameterError("g must be >= 1")
-    keys = canonical_keys(elements)
+    keys, _ = canonical_keys(elements)
     order = _collision_order(keys, kind)
     ordered_keys = [keys[i] for i in order]
     n = len(keys)
@@ -234,7 +207,8 @@ def _verify_decomposition(elements, deco: Decomposition, g, kind):
         if not part:
             continue
         verdict = is_b2(part, g) if kind == "sum" else is_b2_circ(part, g)
-        assert verdict.passed, "search returned a part violating its bound"
+        if not verdict.passed:
+            raise InternalVerificationFailure("search returned a part violating its bound")
 
 
 def greedy_union(elements, g: int, kind: str) -> Decomposition:
@@ -242,7 +216,7 @@ def greedy_union(elements, g: int, kind: str) -> Decomposition:
     the exact minimum."""
     if kind not in ("sum", "diff"):
         raise ParameterError(f"unknown kind {kind!r}")
-    keys = canonical_keys(elements)
+    keys, _ = canonical_keys(elements)
     parts: list[_PartState] = []
     assignment = [-1] * len(keys)
     for idx, key in enumerate(keys):
@@ -290,7 +264,7 @@ def pair_collision_values(family: SetFamily, sign: str) -> dict:
 
     These are the only values a same-tuple pair across parts i and j can
     produce, and the sets are disjoint across distinct pairs, which is
-    asserted.
+    checked.
     """
     if family.kind not in ("W", "Wcirc"):
         raise ParameterError("pair_collision_values needs a W or Wcirc family")
@@ -322,9 +296,10 @@ def pair_collision_values(family: SetFamily, sign: str) -> dict:
                 )
             out[(i + 1, j + 1)] = values
     union_size = len(set().union(*out.values())) if out else 0
-    assert union_size == sum(len(v) for v in out.values()), (
-        "collision value sets of distinct vector pairs must be disjoint"
-    )
+    if union_size != sum(len(v) for v in out.values()):
+        raise InternalVerificationFailure(
+            "collision value sets of distinct vector pairs are not disjoint"
+        )
     return out
 
 
@@ -375,7 +350,8 @@ def counting_certificate(family: SetFamily, g: int, parts: int) -> CountingCerti
     m = family.params["m"]
     n = family.params["n"]
     formula = (n // (2 * d * m)) ** m
-    assert formula <= lhs, "closed-form lattice lower bound must hold"
+    if formula > lhs:
+        raise InternalVerificationFailure("closed-form lattice lower bound does not hold")
     return CountingCertificate(
         family_kind=family.kind,
         kind=kind,
@@ -623,7 +599,6 @@ def meyer_extract(family: SetFamily, seed: int, trials: int, g: int = 2) -> Meye
                 all_pass = False
         if best is None or len(chosen) > best[0]:
             best = (len(chosen), tuple(sorted(upper)), chosen)
-    assert all_pass, "an extracted subset violated the sum bound"
     return MeyerExtraction(
         n_elements=len(elems),
         trials=trials,

@@ -1,25 +1,21 @@
-"""Sparse balanced base-5 integers.
+"""Sparse balanced base-5 integers: the text and storage codec for
+element values.
 
 Every element of the constructed set families, and every pairwise sum or
 difference of two such elements, has a base-5 expansion with digits in
 {-2, -1, 0, 1, 2}. Such expansions are unique, so a sparse map from
-exponent to nonzero digit is a canonical, carry-free representation:
-equality and ordering of numbers with hundreds of digits reduce to a walk
-over a handful of (exponent, digit) pairs.
+exponent to nonzero digit is a canonical, carry-free representation of a
+number with hundreds of digits.
 
-Arithmetic is deliberately narrow. The constructions only ever compare
-sums or differences of two values whose own digits lie in {-1, 0, 1}, so
-any digit leaving [-2, 2] raises DigitOverflow rather than carrying.
-General multiplication and division are out of scope.
+DigitVector only converts: to and from integers, digit maps and the
+sparse text form ``5^7+2*5^11-5^15``. Analyses never do arithmetic on
+it; they compare and combine values as Python ints (``to_integer``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
-
-from .errors import DigitOverflow
 
 COEFF_MIN = -2
 COEFF_MAX = 2
@@ -28,7 +24,6 @@ _SPARSE_TERM = re.compile(r"([+-]?)(?:(\d+)\*)?5\^(\d+)")
 _DECIMAL = re.compile(r"[+-]?\d+")
 
 
-@total_ordering
 @dataclass(frozen=True)
 class DigitVector:
     """A balanced base-5 integer stored as sorted (exponent, digit) pairs.
@@ -53,17 +48,6 @@ class DigitVector:
             last = exponent
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "DigitVector":
-        return cls(())
-
-    @classmethod
-    def from_power(cls, exponent: int) -> "DigitVector":
-        """The value 5**exponent as a single-entry map."""
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        return cls(((exponent, 1),))
 
     @classmethod
     def from_map(cls, mapping) -> "DigitVector":
@@ -114,64 +98,12 @@ class DigitVector:
             raise ValueError(f"cannot parse {text!r} at {compact[pos:]!r}")
         return cls.from_map(mapping)
 
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, DigitVector):
-            return NotImplemented
-        merged = dict(self.digits)
-        for e, c in other.digits:
-            s = merged.get(e, 0) + c
-            if s == 0:
-                del merged[e]
-            elif COEFF_MIN <= s <= COEFF_MAX:
-                merged[e] = s
-            else:
-                raise DigitOverflow(f"digit {s} at exponent {e} leaves [-2, 2]")
-        return DigitVector(tuple(sorted(merged.items())))
-
-    def __neg__(self):
-        return DigitVector(tuple((e, -c) for e, c in self.digits))
-
-    def __sub__(self, other):
-        if not isinstance(other, DigitVector):
-            return NotImplemented
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not self.digits
-
-    # -- ordering ---------------------------------------------------------
-
-    def __lt__(self, other):
-        if not isinstance(other, DigitVector):
-            return NotImplemented
-        # Digits are balanced, so the highest exponent where the expansions
-        # differ decides the sign of the difference.
-        a, b = self.digits, other.digits
-        ia, ib = len(a) - 1, len(b) - 1
-        while ia >= 0 or ib >= 0:
-            ea = a[ia][0] if ia >= 0 else -1
-            eb = b[ib][0] if ib >= 0 else -1
-            if ea > eb:
-                return a[ia][1] < 0
-            if eb > ea:
-                return b[ib][1] > 0
-            if a[ia][1] != b[ib][1]:
-                return a[ia][1] < b[ib][1]
-            ia -= 1
-            ib -= 1
-        return False
-
     # -- conversions ------------------------------------------------------
 
     def to_integer(self) -> int:
         return sum(c * 5**e for e, c in self.digits)
 
     __int__ = to_integer
-
-    def to_map(self) -> dict[int, int]:
-        return dict(self.digits)
 
     def to_sparse(self) -> str:
         if not self.digits:
@@ -187,9 +119,3 @@ class DigitVector:
     def __str__(self):
         return self.to_sparse()
 
-
-def compare(a: DigitVector, b: DigitVector) -> int:
-    """Total order consistent with integer value: -1, 0 or 1."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1

@@ -5,15 +5,6 @@ class B2SetsError(Exception):
     """Base class for all package errors."""
 
 
-class DigitOverflow(B2SetsError, ArithmeticError):
-    """A digit left the balanced range [-2, 2].
-
-    The sparse representation is only closed under sums and differences of
-    two in-range values; anything wider is a usage bug and fails loudly
-    instead of carrying.
-    """
-
-
 class InternalVerificationFailure(B2SetsError):
     """A freshly constructed object failed its own invariant check."""
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from b2sets.analyze import (
     AuditParams,
     additive_energy,
+    canonical_keys,
     collision_census,
     family_sumset_disjointness,
     is_b2,
@@ -74,6 +75,77 @@ class TestRepProfile:
     def test_rejects_duplicates(self):
         with pytest.raises(ParameterError):
             rep_profile([1, 1], "sum")
+
+
+class TestPlanarKeys:
+    """Planar points become ints by an order-preserving map."""
+
+    def test_order_sign_and_decoding(self):
+        rng = random.Random(5)
+        pts = list({(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(60)})
+        keys, decode = canonical_keys(pts)
+        assert sorted(pts) == [p for _, p in sorted(zip(keys, pts))]
+        for (a, ka), (b, kb) in zip(zip(pts, keys), zip(pts[1:], keys[1:])):
+            assert decode(ka + kb) == (a[0] + b[0], a[1] + b[1])
+            d = (a[0] - b[0], a[1] - b[1])
+            assert decode(ka - kb) == d
+            assert (ka > kb) == (d > (0, 0))
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ParameterError):
+            canonical_keys([1, (2, 3)])
+
+
+def _seeded_ints(n, seed):
+    return random.Random(seed).sample(range(-2 * n, 2 * n), n)
+
+
+def _seeded_points(n, seed):
+    box = [(x, y) for x in range(-20, 20) for y in range(-20, 20)]
+    return random.Random(seed).sample(box, n)
+
+
+class TestCountingPaths:
+    """The two-pass surrogate and the full value map must agree exactly."""
+
+    # 640 elements give 205,120 sum pairs and 204,480 difference pairs,
+    # just above FULL_MAP_PAIR_LIMIT.
+    N = 640
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    @pytest.mark.parametrize("make", [_seeded_ints, _seeded_points])
+    def test_surrogate_matches_full_map(self, make, mode, monkeypatch):
+        import b2sets.analyze as analyze
+
+        elements = make(self.N, seed=17)
+        surrogate = rep_profile(elements, mode)
+        assert surrogate.total_pairs > analyze.FULL_MAP_PAIR_LIMIT
+        assert not surrogate.counts_complete
+        monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", surrogate.total_pairs)
+        full = rep_profile(elements, mode)
+        assert full.counts_complete
+        assert full.max_count == surrogate.max_count > 1
+        assert full.distinct_values == surrogate.distinct_values
+        assert {v: c for v, c in full.counts.items() if c >= 2} == surrogate.counts
+        assert full.witnesses == surrogate.witnesses
+
+    @pytest.mark.parametrize("make", [_seeded_ints, _seeded_points])
+    def test_energy_paths_agree(self, make, monkeypatch):
+        import b2sets.analyze as analyze
+
+        elements = make(self.N, seed=23)
+        surrogate = additive_energy(elements)
+        monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", self.N * self.N)
+        assert additive_energy(elements) == surrogate
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_census_values_are_repeated_values(self, mode):
+        family = build_w(3, 12)
+        census = collision_census(family, mode)
+        prof = rep_profile(family.union_values(), mode)
+        repeated = {v: c for v, c in prof.counts.items() if c >= 2}
+        assert {r.value: len(r.reps) for r in census.records} == repeated
+        assert repeated
 
 
 class TestIsB2:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from b2sets.analyze import canonical_keys
 from b2sets.codes import reduced_vandermonde
 from b2sets.construct import (
     build_meyer,
@@ -143,10 +144,14 @@ class TestProduct:
         assert firsts == set(left.union_values())
 
     def test_componentwise_sum(self):
+        # planar values are added as int keys and decoded componentwise
         p = build_product(5, 19)
-        a, b = p.parts[0].elements[0].value, p.parts[0].elements[1].value
-        s = (a[0] + b[0], a[1] + b[1])
-        assert s[0].to_integer() == a[0].to_integer() + b[0].to_integer()
+        values = p.union_values()
+        keys, decode = canonical_keys(values)
+        a, b = values[0], values[1]
+        assert decode(keys[0] + keys[1]) == tuple(
+            x.to_integer() + y.to_integer() for x, y in zip(a, b)
+        )
 
     def test_cap(self):
         with pytest.raises(ResourceCap):
@@ -258,7 +263,7 @@ class TestTranslate:
         assert brute_is_b2(translate(sidon, 97), 1)
 
     def test_digitvectors_become_ints(self):
-        vals = [DigitVector.from_power(2), DigitVector.from_power(3)]
+        vals = [DigitVector.from_map({2: 1}), DigitVector.from_map({3: 1})]
         assert translate(vals, 1) == [26, 126]
 
 
