@@ -6,8 +6,9 @@ and emit reports with full provenance. Reports are canonical JSON
 byte-identical output. Wall-clock timing goes to stderr only, never into
 the report.
 
-Exit codes: 0 pass, 1 verdict failure, 2 configuration error, 3 resource
-cap exceeded, 4 search timeout.
+Exit codes: 0 pass, 1 verdict failure, 2 configuration error (an edited
+family file included), 3 resource cap exceeded, 4 search timeout, 5
+internal failure (a check of the tool's own work failed).
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from .analyze import (
     rep_profile,
     subset_doubling_audit,
 )
-from .construct import (
-    build_meyer,
-    build_product,
-    build_proposition,
-    build_w,
-    build_w_circ,
-    f2_embed,
-)
+from .construct import PRODUCT_ELEMENT_CAP, build_family, build_meyer, f2_embed
 from .decompose import (
     counting_certificate,
     exact_min_union,
@@ -50,15 +44,17 @@ from .digitnum import DigitVector
 from .errors import (
     B2SetsError,
     EmptyConstruction,
+    InternalVerificationFailure,
     ParameterError,
     ResourceCap,
 )
 from .io import (
+    FAMILY_SCHEMA,
     REPORT_SCHEMA,
     canonical_json,
+    elements_from_dict,
+    family_from_dict,
     family_to_dict,
-    load_elements,
-    load_family,
     parse_element,
 )
 
@@ -67,6 +63,7 @@ EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_TIMEOUT = 4
+EXIT_INTERNAL = 5
 
 
 def _encode(value):
@@ -143,25 +140,8 @@ def _add_common(p):
     )
 
 
-def _build_family(args):
-    kind = args.kind
-    if kind == "W":
-        return build_w(args.k, args.n)
-    if kind == "Wcirc":
-        return build_w_circ(args.k, args.n)
-    if kind == "product":
-        return build_product(args.k, args.n, element_cap=args.element_cap)
-    if kind == "meyer":
-        if args.nmax is None:
-            raise ParameterError("--nmax is required for kind meyer")
-        return build_meyer(args.nmax)
-    if kind == "proposition":
-        return build_proposition(args.k, args.n)
-    raise ParameterError(f"unknown kind {kind!r}")
-
-
 def cmd_build(args) -> int:
-    family = _build_family(args)
+    family = build_family(args.kind, args.k, args.n, args.nmax, args.element_cap)
     payload = family_to_dict(family)
     text = canonical_json(payload)
     if args.out:
@@ -180,12 +160,11 @@ def _load_set(args):
         return [parse_element(v) for v in args.values.split(",")], None
     if not args.setfile:
         raise ParameterError("provide a set file or --values")
-    path = Path(args.setfile)
-    data = json.loads(path.read_text())
-    if data.get("schema") == "b2sets.setfamily/1":
-        family = load_family(path)
+    data = json.loads(Path(args.setfile).read_text())
+    if isinstance(data, dict) and data.get("schema") == FAMILY_SCHEMA:
+        family = family_from_dict(data)
         return family.union_values(), family
-    return load_elements(path), None
+    return elements_from_dict(data), None
 
 
 def cmd_analyze(args) -> int:
@@ -494,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--nmax", type=int, default=None, help="index bound for kind meyer")
-    p.add_argument("--element-cap", type=int, default=10**7)
+    p.add_argument("--element-cap", type=int, default=PRODUCT_ELEMENT_CAP)
     _add_common(p)
     p.set_defaults(func=cmd_build)
 
@@ -564,6 +543,9 @@ def main(argv=None) -> int:
     except (ParameterError, EmptyConstruction, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except InternalVerificationFailure as exc:
+        print(f"internal failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except B2SetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

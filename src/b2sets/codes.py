@@ -68,15 +68,6 @@ class CodeFamily:
             "warnings": list(self.warnings),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CodeFamily":
-        return cls(
-            kind=data["kind"],
-            d=data["d"],
-            vectors=tuple(tuple(v) for v in data["vectors"]),
-            warnings=tuple(data.get("warnings", ())),
-        )
-
 
 def _verify_hadamard_family(vectors, d):
     seen: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -197,12 +188,6 @@ class ReducedVandermonde:
 
     def to_dict(self) -> dict:
         return {"prime": self.prime, "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReducedVandermonde":
-        return cls(
-            rows=tuple(tuple(r) for r in data["rows"]), prime=data["prime"]
-        )
 
 
 def reduced_vandermonde(d: int) -> ReducedVandermonde:

@@ -313,6 +313,30 @@ def build_proposition(k: int, n: int) -> SetFamily:
     )
 
 
+def build_family(
+    kind: str,
+    k: int | None = None,
+    n: int | None = None,
+    n_max: int | None = None,
+    element_cap: int = PRODUCT_ELEMENT_CAP,
+) -> SetFamily:
+    """Build the family of ``kind`` from its recipe: k and n, or n_max for
+    meyer. The one map from a kind to its builder."""
+    if kind == "W":
+        return build_w(k, n)
+    if kind == "Wcirc":
+        return build_w_circ(k, n)
+    if kind == "product":
+        return build_product(k, n, element_cap=element_cap)
+    if kind == "meyer":
+        if n_max is None:
+            raise ParameterError("n_max is required for kind meyer")
+        return build_meyer(n_max)
+    if kind == "proposition":
+        return build_proposition(k, n)
+    raise ParameterError(f"unknown kind {kind!r}")
+
+
 def decode_element(family: SetFamily, value: DigitVector) -> tuple[tuple[int, ...], int]:
     """Recover (coords, vector_index) from a W / Wcirc element value.
 
@@ -361,12 +385,6 @@ class F2Embedding:
     points: tuple[tuple[int, ...], ...]
     image: tuple[int, ...]
     verification: str  # "exhaustive" | "certified"
-
-    def forward(self, point) -> int:
-        return self.image[self.points.index(_as_point(point))]
-
-    def mapping(self) -> dict:
-        return dict(zip(self.points, self.image))
 
 
 def _as_point(x) -> tuple[int, ...]:

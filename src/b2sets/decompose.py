@@ -30,7 +30,6 @@ DEFAULT_NODE_BUDGET = 2_000_000
 @dataclass
 class Decomposition:
     assignment: list[int]  # element index -> part index (0-based)
-    part_kinds: list[str]
     g: int
     parts_used: int
 
@@ -191,7 +190,6 @@ def _search_t(keys, g, kind, t, budget) -> SearchResult:
     if found:
         deco = Decomposition(
             assignment=list(assignment),
-            part_kinds=[kind] * t,
             g=g,
             parts_used=t,
         )
@@ -234,7 +232,6 @@ def greedy_union(elements, g: int, kind: str) -> Decomposition:
             assignment[idx] = len(parts) - 1
     deco = Decomposition(
         assignment=assignment,
-        part_kinds=[kind] * len(parts),
         g=g,
         parts_used=len(parts),
     )

@@ -1,9 +1,16 @@
 """Canonical JSON serialization for set families and element lists.
 
 The JSON form is the interchange contract: values carry both the sparse
-base-5 text and the exact decimal string, labels round-trip completely,
+base-5 text and the exact decimal string, labels are written in full,
 and the writer is byte-stable (sorted keys, fixed indentation, trailing
 newline).
+
+A family file is a recipe. Loading rebuilds the family from its kind and
+its k and n (n_max for meyer), requires the file to equal the rebuild's
+JSON form, and returns the rebuild: the stored payload is compared, never
+used. Any edit raises ParameterError, which the CLI reports as a
+configuration error (exit code 2); a rebuild that fails its own invariant
+check raises InternalVerificationFailure (exit code 5).
 """
 
 from __future__ import annotations
@@ -11,18 +18,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .codes import CodeFamily, ReducedVandermonde
 from .construct import (
     BoxElement,
     LabeledElement,
     MeyerElement,
-    Part,
-    ProductElement,
     SetFamily,
-    TuplePoint,
+    build_family,
 )
 from .digitnum import DigitVector
-from .errors import ParameterError
+from .errors import EmptyConstruction, ParameterError
 
 FAMILY_SCHEMA = "b2sets.setfamily/1"
 ELEMENTS_SCHEMA = "b2sets.elements/1"
@@ -35,15 +39,6 @@ def canonical_json(payload) -> str:
 
 def _value_dict(value: DigitVector) -> dict:
     return {"sparse": value.to_sparse(), "decimal": str(value.to_integer())}
-
-
-def _value_from_dict(data: dict) -> DigitVector:
-    value = DigitVector.parse(data["sparse"])
-    if str(value.to_integer()) != data["decimal"]:
-        raise ParameterError(
-            f"sparse form {data['sparse']!r} does not match decimal {data['decimal']!r}"
-        )
-    return value
 
 
 def _element_dict(elem) -> dict:
@@ -63,22 +58,6 @@ def _element_dict(elem) -> dict:
             **_value_dict(elem.value),
         }
     raise ParameterError(f"cannot serialize element {elem!r}")
-
-
-def _element_from_dict(data: dict):
-    if "coords" in data:
-        return LabeledElement(
-            TuplePoint(tuple(data["coords"]), tuple(data["preimage"])),
-            data["j"],
-            _value_from_dict(data),
-        )
-    if "hi" in data:
-        return MeyerElement(data["hi"], data["lo"], _value_from_dict(data))
-    if "indices" in data:
-        return BoxElement(
-            tuple(data["indices"]), tuple(data["signs"]), _value_from_dict(data)
-        )
-    raise ParameterError(f"cannot deserialize element {data!r}")
 
 
 def family_to_dict(family: SetFamily) -> dict:
@@ -120,49 +99,49 @@ def family_to_dict(family: SetFamily) -> dict:
     return out
 
 
+def _first_difference(want, got, path: str) -> str:
+    """The path of the first place where ``got`` departs from ``want``."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(want.keys() | got.keys(), key=str):
+            if key not in want or key not in got:
+                return f"{path}.{key}"
+            if want[key] != got[key]:
+                return _first_difference(want[key], got[key], f"{path}.{key}")
+    if isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        for i, (w, g) in enumerate(zip(want, got)):
+            if w != g:
+                return _first_difference(w, g, f"{path}[{i}]")
+    return path
+
+
 def family_from_dict(data: dict) -> SetFamily:
-    if data.get("schema") != FAMILY_SCHEMA:
-        raise ParameterError(f"not a set family file: schema {data.get('schema')!r}")
-    code = CodeFamily.from_dict(data["code"]) if data.get("code") else None
-    matrix = (
-        ReducedVandermonde.from_dict(data["matrix"]) if data.get("matrix") else None
-    )
-    if data["kind"] == "product":
-        left = family_from_dict(data["factors"]["left"])
-        right = family_from_dict(data["factors"]["right"])
-        left_elems = left.union_elements()
-        right_elems = right.union_elements()
-        parts = tuple(
-            Part(
-                p["name"],
-                tuple(
-                    ProductElement(left_elems[li], right_elems[ri])
-                    for li, ri in p["pairs"]
-                ),
-            )
-            for p in data["parts"]
-        )
-        return SetFamily(
-            kind="product",
-            ambient=data["ambient"],
-            params=dict(data["params"]),
-            parts=parts,
-            warnings=tuple(data.get("warnings", ())),
-            factors=(left, right),
-        )
-    parts = tuple(
-        Part(p["name"], tuple(_element_from_dict(e) for e in p["elements"]))
-        for p in data["parts"]
-    )
-    return SetFamily(
-        kind=data["kind"],
-        ambient=data["ambient"],
-        params=dict(data["params"]),
-        parts=parts,
-        warnings=tuple(data.get("warnings", ())),
-        code=code,
-        matrix=matrix,
-    )
+    """Rebuild the family that ``data`` records and return the rebuild.
+
+    Raises ParameterError unless ``data`` is exactly the rebuild's
+    ``family_to_dict`` form.
+    """
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != FAMILY_SCHEMA:
+        raise ParameterError(f"not a set family file: schema {schema!r}")
+    kind = data.get("kind")
+    params = data.get("params")
+    if not isinstance(params, dict):
+        raise ParameterError("family file has no params object")
+    recipe = {}
+    for name in ("n_max",) if kind == "meyer" else ("k", "n"):
+        value = params.get(name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParameterError(f"params.{name} must be an integer, not {value!r}")
+        recipe[name] = value
+    try:
+        family = build_family(kind, **recipe)
+    except EmptyConstruction as exc:
+        raise ParameterError(f"family file records an empty recipe: {exc}") from None
+    rebuilt = family_to_dict(family)
+    if rebuilt != data:
+        where = _first_difference(rebuilt, data, "file")
+        raise ParameterError(f"family file differs from its rebuild at {where}")
+    return family
 
 
 def save_family(family: SetFamily, path) -> None:
@@ -174,15 +153,19 @@ def load_family(path) -> SetFamily:
 
 
 def load_elements(path):
-    """Load a raw element list: either a set family file (its union) or an
+    return elements_from_dict(json.loads(Path(path).read_text()))
+
+
+def elements_from_dict(data: dict):
+    """A raw element list: either a set family file (its union) or an
     elements file {"schema": ..., "elements": [...]}. Entries may be
     decimal strings, sparse base-5 strings, integers, or pairs of these.
     """
-    data = json.loads(Path(path).read_text())
-    if data.get("schema") == FAMILY_SCHEMA:
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema == FAMILY_SCHEMA:
         return family_from_dict(data).union_values()
-    if data.get("schema") != ELEMENTS_SCHEMA:
-        raise ParameterError(f"unrecognized schema {data.get('schema')!r}")
+    if schema != ELEMENTS_SCHEMA:
+        raise ParameterError(f"unrecognized schema {schema!r}")
     return [parse_element(e) for e in data["elements"]]
 
 

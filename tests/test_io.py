@@ -1,7 +1,9 @@
+import copy
 import json
 
 import pytest
 
+from b2sets.cli import main
 from b2sets.construct import (
     build_meyer,
     build_product,
@@ -27,11 +29,12 @@ from b2sets.io import (
     [
         build_w(3, 10),
         build_w_circ(5, 14),
+        build_w_circ(3, 6),
         build_meyer(4),
         build_proposition(2, 2),
         build_product(3, 6),
     ],
-    ids=["W", "Wcirc", "meyer", "proposition", "product"],
+    ids=["W", "Wcirc", "Wcirc-warned", "meyer", "proposition", "product"],
 )
 def test_family_round_trip(family, tmp_path):
     path = tmp_path / "fam.json"
@@ -56,6 +59,103 @@ def test_decimal_sparse_consistency_checked(tmp_path):
     data["parts"][0]["elements"][0]["decimal"] = "999"
     with pytest.raises(ParameterError):
         family_from_dict(data)
+
+
+TAMPER_FAMILIES = {
+    "W": family_to_dict(build_w(2, 3)),
+    "Wcirc": family_to_dict(build_w_circ(3, 6)),
+    "meyer": family_to_dict(build_meyer(4)),
+    "proposition": family_to_dict(build_proposition(2, 2)),
+    "product": family_to_dict(build_product(3, 6)),
+}
+
+
+def _key_paths(node, path=()):
+    """(path, edit) for every distinct key path of a family payload, list
+    indices collapsed to the first entry: "leaf" for each stored value,
+    "append" for each list."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _key_paths(node[key], path + (key,))
+    elif isinstance(node, list):
+        yield path, "append"
+        if node:
+            yield from _key_paths(node[0], path + (0,))
+    else:
+        yield path, "leaf"
+
+
+def _tampered(data, path, edit):
+    data = copy.deepcopy(data)
+    *head, last = path
+    node = data
+    for key in head:
+        node = node[key]
+    value = node[last]
+    if edit == "append":
+        value.append(copy.deepcopy(value[0]) if value else 0)
+    elif value is None:
+        node[last] = 0
+    else:
+        node[last] = value + ("x" if isinstance(value, str) else 1)
+    return data
+
+
+TAMPER_CASES = [
+    pytest.param(name, path, edit, id=f"{name}-{'.'.join(map(str, path))}-{edit}")
+    for name, data in TAMPER_FAMILIES.items()
+    for path, edit in _key_paths(data)
+]
+
+
+def test_tamper_cases_cover_every_stored_field():
+    leaves = {
+        name: sum(1 for _, edit in _key_paths(data) if edit == "leaf")
+        for name, data in TAMPER_FAMILIES.items()
+    }
+    assert leaves == {"W": 21, "Wcirc": 23, "meyer": 12, "proposition": 13, "product": 56}
+
+
+@pytest.mark.parametrize("name,path,edit", TAMPER_CASES)
+def test_tampered_field_rejected(name, path, edit):
+    with pytest.raises(ParameterError):
+        family_from_dict(_tampered(TAMPER_FAMILIES[name], path, edit))
+
+
+@pytest.mark.parametrize("field", ["k", "n"])
+@pytest.mark.parametrize("value", [True, 3.0, "3", None])
+def test_recipe_params_must_be_ints(field, value):
+    data = copy.deepcopy(TAMPER_FAMILIES["W"])
+    data["params"][field] = value
+    with pytest.raises(ParameterError, match=f"params.{field}"):
+        family_from_dict(data)
+
+
+def test_forged_lattice_size_cannot_pass_a_certificate(tmp_path, capsys):
+    fam = tmp_path / "w20.json"
+    out = tmp_path / "report.json"
+    certify = ["certify", str(fam), "--g", "1", "--parts", "2", "--out", str(out)]
+    assert main(["build", "--kind", "W", "--k", "3", "--n", "20", "--out", str(fam)]) == 0
+    assert main(certify) == 1  # lhs=57 <= capacity=102: no certificate
+    data = json.loads(fam.read_text())
+    data["params"]["lattice_size"] = 10**6
+    fam.write_text(canonical_json(data))
+    out.unlink()
+    capsys.readouterr()
+    assert main(certify) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "params.lattice_size" in captured.err
+
+
+def test_sampled_matrix_check_survives_reload(tmp_path):
+    family = build_w_circ(17, 98)
+    assert family.size() == 17
+    assert family.matrix.verified == "sampled(200 of 24310)"
+    path = tmp_path / "wc17.json"
+    save_family(family, path)
+    assert load_family(path).matrix.verified == family.matrix.verified
 
 
 def test_elements_file_round_trip(tmp_path):
@@ -88,3 +188,13 @@ def test_reject_unknown_schema(tmp_path):
     path.write_text(json.dumps({"schema": "nope/9"}))
     with pytest.raises(ParameterError):
         load_elements(path)
+
+
+def test_non_object_file_is_a_config_error(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ParameterError):
+        load_elements(path)
+    with pytest.raises(ParameterError):
+        load_family(path)
+    assert main(["analyze", str(path), "--check", "b2"]) == 2

@@ -9,6 +9,7 @@ import b2sets
 import b2sets.decompose as decompose
 from b2sets.analyze import BVerdict
 from b2sets.cli import main
+from b2sets.errors import InternalVerificationFailure
 
 PACKAGE = Path(b2sets.__file__).parent
 
@@ -35,3 +36,16 @@ def test_meyer_failed_subset_is_a_cli_fail(tmp_path, monkeypatch):
     assert code == 1
     verdicts = json.loads(out.read_text())["verdicts"]
     assert [v["pass"] for v in verdicts] == [False]
+
+
+def test_internal_failure_has_its_own_exit_code(tmp_path, monkeypatch):
+    def broken(family, sign):
+        raise InternalVerificationFailure("collision values disagree")
+
+    fam = tmp_path / "w.json"
+    assert main(["build", "--kind", "W", "--k", "3", "--n", "10", "--out", str(fam)]) == 0
+    monkeypatch.setattr(decompose, "pair_collision_values", broken)
+    out = tmp_path / "cert.json"
+    code = main(["certify", str(fam), "--g", "1", "--parts", "2", "--out", str(out)])
+    assert code == 5
+    assert not out.exists()
