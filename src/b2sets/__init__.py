@@ -53,10 +53,8 @@ from .errors import (
     B2SetsError,
     EmptyConstruction,
     InternalVerificationFailure,
-    NoPrimeFound,
     ParameterError,
     ResourceCap,
-    SingularSubmatrix,
 )
 
 __version__ = "0.1.0"

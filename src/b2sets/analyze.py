@@ -39,7 +39,7 @@ from itertools import combinations, combinations_with_replacement, compress, sta
 from operator import add, sub
 
 from .construct import SetFamily, f2_embed
-from .digitnum import DigitVector
+from .digitnum import as_int
 from .errors import InternalVerificationFailure, ParameterError, ResourceCap
 
 ENERGY_PAIR_BUDGET = 5 * 10**7
@@ -54,13 +54,9 @@ AUDIT_TABLE_LIMIT = 3000
 
 def canonical_key(x):
     """An element as an int, or a planar point as a tuple of ints."""
-    if isinstance(x, DigitVector):
-        return x.to_integer()
-    if isinstance(x, int):
-        return x
     if isinstance(x, tuple):
-        return tuple(canonical_key(c) for c in x)
-    raise ParameterError(f"cannot canonicalize element {x!r}")
+        return tuple(map(as_int, x))
+    return as_int(x)
 
 
 def canonical_keys(elements):

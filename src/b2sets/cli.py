@@ -31,7 +31,7 @@ from .analyze import (
     rep_profile,
     subset_doubling_audit,
 )
-from .construct import PRODUCT_ELEMENT_CAP, build_family, build_meyer, f2_embed
+from .construct import ELEMENT_CAP, build_family, build_meyer, f2_embed
 from .decompose import (
     counting_certificate,
     exact_min_union,
@@ -40,7 +40,6 @@ from .decompose import (
     mixed_certificate,
     no_large_bsubset_certificate,
 )
-from .digitnum import DigitVector
 from .errors import (
     B2SetsError,
     EmptyConstruction,
@@ -75,8 +74,6 @@ def _encode(value):
             "den": str(value.denominator),
             "approx": float(value),
         }
-    if isinstance(value, DigitVector):
-        return {"sparse": value.to_sparse(), "decimal": str(value.to_integer())}
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
@@ -473,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--nmax", type=int, default=None, help="index bound for kind meyer")
-    p.add_argument("--element-cap", type=int, default=PRODUCT_ELEMENT_CAP)
+    p.add_argument("--element-cap", type=int, default=ELEMENT_CAP)
     _add_common(p)
     p.set_defaults(func=cmd_build)
 

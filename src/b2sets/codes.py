@@ -21,12 +21,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import (
-    InternalVerificationFailure,
-    NoPrimeFound,
-    ParameterError,
-    SingularSubmatrix,
-)
+from .errors import InternalVerificationFailure, ParameterError
 
 SUBMATRIX_VERIFY_LIMIT = 20000
 SUBMATRIX_SAMPLE = 200
@@ -207,7 +202,7 @@ def reduced_vandermonde(d: int) -> ReducedVandermonde:
             prime = p
             break
     if not prime:
-        raise NoPrimeFound(f"no prime in ({d}, {2 * d}]")
+        raise InternalVerificationFailure(f"no prime in ({d}, {2 * d}]")
     m = (d + 1) // 2
     rows = tuple(
         tuple((pow(r, c, prime) or prime) for c in range(m))
@@ -227,5 +222,5 @@ def reduced_vandermonde(d: int) -> ReducedVandermonde:
     for pick in picks:
         det = int_det([rows[r] for r in pick])
         if det == 0:
-            raise SingularSubmatrix(f"rows {pick} are singular")
+            raise InternalVerificationFailure(f"rows {pick} are singular")
     return ReducedVandermonde(rows=rows, prime=prime, verified=verified)

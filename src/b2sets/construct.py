@@ -28,10 +28,10 @@ from .codes import (
     reduced_vandermonde,
     star_code_vectors,
 )
-from .digitnum import DigitVector
+from .digitnum import DigitVector, as_int
 from .errors import EmptyConstruction, InternalVerificationFailure, ParameterError, ResourceCap
 
-PRODUCT_ELEMENT_CAP = 10**7
+ELEMENT_CAP = 10**7  # the most elements any build may produce
 EMBED_VERIFY_THRESHOLD = 100
 
 
@@ -131,12 +131,16 @@ class SetFamily:
         return " ".join(bits)
 
 
-def lattice_points(matrix: ReducedVandermonde, n: int) -> tuple[TuplePoint, ...]:
+def lattice_points(
+    matrix: ReducedVandermonde, n: int, max_points: int | None = None
+) -> tuple[TuplePoint, ...]:
     """All points M*y with y in {1,2,...}^m and every coordinate <= n.
 
     Entries of M are >= 1, so each y_c is bounded by n and the search is
     finite; preimages are enumerated in lexicographic order, which fixes
-    the canonical order of every downstream element list.
+    the canonical order of every downstream element list. Every partial
+    preimage extends to a point, so the search stops, raising ResourceCap,
+    at the first point past ``max_points``.
     """
     if n < 1:
         raise ParameterError("lattice_points requires n >= 1")
@@ -154,6 +158,8 @@ def lattice_points(matrix: ReducedVandermonde, n: int) -> tuple[TuplePoint, ...]
     def rec(c: int, partial: list[int]):
         if c == m:
             out.append(TuplePoint(tuple(partial), tuple(y)))
+            if max_points is not None and len(out) > max_points:
+                raise ResourceCap(f"more than {max_points} lattice points with n={n}")
             return
         v = 1
         while True:
@@ -176,9 +182,19 @@ def element_value(coords: tuple[int, ...], vector: tuple[int, ...]) -> DigitVect
     )
 
 
-def _code_family_set(kind: str, code: CodeFamily, k: int, n: int, part_prefix: str) -> SetFamily:
+def _check_cap(kind: str, size: int, element_cap: int) -> None:
+    if size > element_cap:
+        raise ResourceCap(f"{kind} would hold {size} elements, above the cap {element_cap}")
+
+
+def _code_family_set(
+    kind: str, code_vectors, k: int, n: int, element_cap: int
+) -> SetFamily:
+    # each of the k parts holds one element per lattice point
+    _check_cap(kind, k, element_cap)
+    code = code_vectors(k)
     matrix = reduced_vandermonde(code.d)
-    points = lattice_points(matrix, n)
+    points = lattice_points(matrix, n, element_cap // k)
     if not points:
         raise EmptyConstruction(
             f"{kind}: no lattice points with all coordinates <= {n} (d={code.d})"
@@ -189,7 +205,7 @@ def _code_family_set(kind: str, code: CodeFamily, k: int, n: int, part_prefix: s
             LabeledElement(pt, j0 + 1, element_value(pt.coords, vec))
             for pt in points
         )
-        parts.append(Part(f"{part_prefix}_{j0 + 1}", elems))
+        parts.append(Part(f"{kind}_{j0 + 1}", elems))
     params = {
         "k": k,
         "n": n,
@@ -210,7 +226,7 @@ def _code_family_set(kind: str, code: CodeFamily, k: int, n: int, part_prefix: s
     )
 
 
-def build_w(k: int, n: int) -> SetFamily:
+def build_w(k: int, n: int, element_cap: int = ELEMENT_CAP) -> SetFamily:
     """The k-part family over hadamard code vectors.
 
     Each part is a perfect difference-free summand: all pair sums within a
@@ -219,28 +235,24 @@ def build_w(k: int, n: int) -> SetFamily:
     """
     if k < 2:
         raise ParameterError("build_w requires k >= 2")
-    return _code_family_set("W", hadamard_code_vectors(k), k, n, "W")
+    return _code_family_set("W", hadamard_code_vectors, k, n, element_cap)
 
 
-def build_w_circ(k: int, n: int) -> SetFamily:
+def build_w_circ(k: int, n: int, element_cap: int = ELEMENT_CAP) -> SetFamily:
     """The star-code twin: parts repeat no nonzero difference, and for
     k >= 5 the union repeats no sum more than twice."""
     if k < 2:
         raise ParameterError("build_w_circ requires k >= 2")
-    return _code_family_set("Wcirc", star_code_vectors(k), k, n, "Wcirc")
+    return _code_family_set("Wcirc", star_code_vectors, k, n, element_cap)
 
 
-def build_product(k: int, n: int, element_cap: int = PRODUCT_ELEMENT_CAP) -> SetFamily:
+def build_product(k: int, n: int, element_cap: int = ELEMENT_CAP) -> SetFamily:
     """The full Cartesian product Wcirc x W in Z^2, materialized eagerly."""
     if k < 2:
         raise ParameterError("build_product requires k >= 2")
-    left = build_w_circ(k, n)
-    right = build_w(k, n)
-    total = left.size() * right.size()
-    if total > element_cap:
-        raise ResourceCap(
-            f"product would hold {total} elements, above the cap {element_cap}"
-        )
+    left = build_w_circ(k, n, element_cap)
+    right = build_w(k, n, element_cap)
+    _check_cap("product", left.size() * right.size(), element_cap)
     left_elems = left.union_elements()
     right_elems = right.union_elements()
     elems = tuple(
@@ -262,10 +274,11 @@ def build_product(k: int, n: int, element_cap: int = PRODUCT_ELEMENT_CAP) -> Set
     )
 
 
-def build_meyer(n_max: int) -> SetFamily:
+def build_meyer(n_max: int, element_cap: int = ELEMENT_CAP) -> SetFamily:
     """All differences 5^hi - 5^lo for 0 <= lo < hi <= n_max."""
     if n_max < 1:
         raise ParameterError("build_meyer requires n_max >= 1")
+    _check_cap("meyer", n_max * (n_max + 1) // 2, element_cap)
     elems = []
     for hi in range(1, n_max + 1):
         for lo in range(hi):
@@ -281,7 +294,7 @@ def build_meyer(n_max: int) -> SetFamily:
     )
 
 
-def build_proposition(k: int, n: int) -> SetFamily:
+def build_proposition(k: int, n: int, element_cap: int = ELEMENT_CAP) -> SetFamily:
     """2^k parts, one per sign pattern in {1,-1}^k, over a k-dim index box.
 
     Part for pattern v holds sum_c v[c] * 5^(i_c*k + c+1) for all index
@@ -291,6 +304,10 @@ def build_proposition(k: int, n: int) -> SetFamily:
         raise ParameterError("build_proposition requires k >= 1")
     if n < 1:
         raise ParameterError("build_proposition requires n >= 1")
+    # 2^k > element_cap once k reaches its bit length; (2n)^k stays small
+    if k >= element_cap.bit_length():
+        raise ResourceCap(f"proposition with k={k} exceeds the cap {element_cap}")
+    _check_cap("proposition", (2 * n) ** k, element_cap)
     parts = []
     for idx, signs in enumerate(iter_product((1, -1), repeat=k)):
         elems = tuple(
@@ -318,22 +335,23 @@ def build_family(
     k: int | None = None,
     n: int | None = None,
     n_max: int | None = None,
-    element_cap: int = PRODUCT_ELEMENT_CAP,
+    element_cap: int = ELEMENT_CAP,
 ) -> SetFamily:
     """Build the family of ``kind`` from its recipe: k and n, or n_max for
-    meyer. The one map from a kind to its builder."""
+    meyer, holding at most ``element_cap`` elements. The one map from a
+    kind to its builder."""
     if kind == "W":
-        return build_w(k, n)
+        return build_w(k, n, element_cap)
     if kind == "Wcirc":
-        return build_w_circ(k, n)
+        return build_w_circ(k, n, element_cap)
     if kind == "product":
-        return build_product(k, n, element_cap=element_cap)
+        return build_product(k, n, element_cap)
     if kind == "meyer":
         if n_max is None:
             raise ParameterError("n_max is required for kind meyer")
-        return build_meyer(n_max)
+        return build_meyer(n_max, element_cap)
     if kind == "proposition":
-        return build_proposition(k, n)
+        return build_proposition(k, n, element_cap)
     raise ParameterError(f"unknown kind {kind!r}")
 
 
@@ -388,21 +406,9 @@ class F2Embedding:
 
 
 def _as_point(x) -> tuple[int, ...]:
-    if isinstance(x, DigitVector):
-        return (x.to_integer(),)
-    if isinstance(x, int):
-        return (x,)
     if isinstance(x, tuple):
-        out = []
-        for c in x:
-            if isinstance(c, DigitVector):
-                out.append(c.to_integer())
-            elif isinstance(c, int):
-                out.append(c)
-            else:
-                raise ParameterError(f"cannot treat {c!r} as an integer coordinate")
-        return tuple(out)
-    raise ParameterError(f"cannot treat {x!r} as a point")
+        return tuple(map(as_int, x))
+    return (as_int(x),)
 
 
 def relations_preserved(domain: list, image: list[int]) -> bool:
@@ -473,23 +479,16 @@ def translate(elements, alpha):
     quadruple relations. DigitVector inputs come back as plain integers."""
     out = []
     for x in elements:
-        if isinstance(x, DigitVector):
-            x = x.to_integer()
-        if isinstance(x, int):
+        if isinstance(x, tuple):
+            if not isinstance(alpha, tuple) or len(alpha) != len(x):
+                raise ParameterError("alpha must be a tuple matching the point dimension")
+            out.append(tuple(as_int(c) + a for c, a in zip(x, alpha)))
+        else:
+            x = as_int(x)
             if not isinstance(alpha, int):
                 raise ParameterError("alpha must be an integer for integer elements")
             out.append(x + alpha)
-        elif isinstance(x, tuple):
-            if not isinstance(alpha, tuple) or len(alpha) != len(x):
-                raise ParameterError("alpha must be a tuple matching the point dimension")
-            out.append(tuple(_coord(c) + a for c, a in zip(x, alpha)))
-        else:
-            raise ParameterError(f"cannot translate {x!r}")
     return out
-
-
-def _coord(c):
-    return c.to_integer() if isinstance(c, DigitVector) else c
 
 
 @dataclass(frozen=True)
@@ -521,7 +520,7 @@ def dyadic_pack(sets) -> DyadicPacking:
     blocks = []
     prev_psi = -1
     for idx, s in enumerate(sets):
-        vals = sorted(_coord(v) for v in s)
+        vals = sorted(as_int(v) for v in s)
         if not vals:
             raise ParameterError("dyadic_pack requires nonempty sets")
         if len(set(vals)) != len(vals):

@@ -16,9 +16,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import add, sub
 
 from .analyze import canonical_keys, is_b2, is_b2_circ, rep_profile
 from .construct import SetFamily
+from .digitnum import as_int
 from .errors import InternalVerificationFailure, ParameterError
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -241,57 +244,31 @@ def greedy_union(elements, g: int, kind: str) -> Decomposition:
 
 # -- collision value enumeration ----------------------------------------------
 
-
-def _power_cache():
-    cache: dict[int, int] = {}
-
-    def power(e):
-        v = cache.get(e)
-        if v is None:
-            v = 5**e
-            cache[e] = v
-        return v
-
-    return power
+def _family_mode(family: SetFamily) -> str:
+    """The repetition a code family is certified against: sums for the
+    hadamard-code family W, differences for its star-code twin."""
+    if family.kind == "W":
+        return "sum"
+    if family.kind == "Wcirc":
+        return "diff"
+    raise ParameterError(f"needs a W or Wcirc family, not {family.kind!r}")
 
 
-def pair_collision_values(family: SetFamily, sign: str) -> dict:
-    """For each code-vector pair i < j, the exact set of values
-    sum_c (v_i +- v_j)[c] * 5^(coords[c]*d + c+1) over the family lattice.
+def pair_collision_values(family: SetFamily) -> dict:
+    """For each part pair i < j, the exact set of values a + b (W) or
+    a - b (Wcirc) over same-tuple elements a of part i and b of part j.
 
     These are the only values a same-tuple pair across parts i and j can
     produce, and the sets are disjoint across distinct pairs, which is
-    checked.
+    checked. Every part lists the lattice tuples in the same order, so
+    same-tuple elements are zipped.
     """
-    if family.kind not in ("W", "Wcirc"):
-        raise ParameterError("pair_collision_values needs a W or Wcirc family")
-    if sign not in ("sum", "diff"):
-        raise ParameterError(f"unknown sign {sign!r}")
-    vectors = family.code.vectors
-    d = family.code.d
-    k = len(vectors)
-    points = family.parts[0].elements
-    power = _power_cache()
-    out: dict[tuple[int, int], set] = {}
-    for i in range(k):
-        vi = vectors[i]
-        for j in range(i + 1, k):
-            vj = vectors[j]
-            if sign == "sum":
-                combined = [vi[c] + vj[c] for c in range(d)]
-            else:
-                combined = [vi[c] - vj[c] for c in range(d)]
-            supp = [c for c in range(d) if combined[c]]
-            values = set()
-            for el in points:
-                coords = el.point.coords
-                values.add(
-                    sum(
-                        combined[c] * power(coords[c] * d + (c + 1))
-                        for c in supp
-                    )
-                )
-            out[(i + 1, j + 1)] = values
+    op = add if _family_mode(family) == "sum" else sub
+    parts = [[as_int(e.value) for e in part.elements] for part in family.parts]
+    out = {
+        (i, j): set(map(op, a, b))
+        for (i, a), (j, b) in combinations(enumerate(parts, 1), 2)
+    }
     union_size = len(set().union(*out.values())) if out else 0
     if union_size != sum(len(v) for v in out.values()):
         raise InternalVerificationFailure(
@@ -331,15 +308,10 @@ def counting_certificate(family: SetFamily, g: int, parts: int) -> CountingCerti
     """Certificate against decomposing the family union into ``parts``
     bounded-repetition parts: sum kind for the hadamard-code family, diff
     kind for the star-code family."""
-    if family.kind == "W":
-        kind = "sum"
-    elif family.kind == "Wcirc":
-        kind = "diff"
-    else:
-        raise ParameterError("counting_certificate needs a W or Wcirc family")
+    kind = _family_mode(family)
     if g < 1 or parts < 1:
         raise ParameterError("g and parts must be >= 1")
-    value_sets = pair_collision_values(family, kind)
+    value_sets = pair_collision_values(family)
     v_total = sum(len(s) for s in value_sets.values())
     lhs = family.params["lattice_size"]
     capacity = parts * g * v_total
@@ -364,18 +336,10 @@ def counting_certificate(family: SetFamily, g: int, parts: int) -> CountingCerti
     )
 
 
-def _product_factors(family_or_factors):
-    if isinstance(family_or_factors, SetFamily):
-        if family_or_factors.kind != "product" or not family_or_factors.factors:
-            raise ParameterError("expected a product family")
-        left, right = family_or_factors.factors
-    else:
-        left, right = family_or_factors
-        if left.kind != "Wcirc" or right.kind != "W":
-            raise ParameterError("factors must be (Wcirc, W)")
-    if left.params["k"] != right.params["k"]:
-        raise ParameterError("factors must share k")
-    return left, right
+def _product_factors(family: SetFamily):
+    if family.kind != "product":
+        raise ParameterError("expected a product family")
+    return family.factors
 
 
 def _pigeonhole_groups(row_mass: int, n_groups: int, k: int, threshold: int) -> int:
@@ -388,6 +352,27 @@ def _pigeonhole_groups(row_mass: int, n_groups: int, k: int, threshold: int) -> 
     if shortfall <= 0:
         return 0
     return -(-shortfall // slack)  # ceil division
+
+
+def _line_groups(line: SetFamily, other: SetFamily, mass: int, threshold: int) -> dict:
+    """The densest-line pigeonhole of a product subset holding ``mass``
+    elements: one of the |other| copies of ``line`` holds at least
+    row_mass = ceil(mass / |other|) of them (at most |line|), and grouping
+    that line by lattice tuples guarantees guaranteed_groups groups with
+    at least ``threshold`` of them, each pair of which repeats one of the
+    line family's collision values."""
+    n_groups = line.params["lattice_size"]
+    row_mass = min(-(-mass // other.size()), line.size())
+    return {
+        "groups": n_groups,
+        "row_mass": row_mass,
+        "guaranteed_groups": _pigeonhole_groups(
+            row_mass, n_groups, line.params["k"], threshold
+        ),
+        "collision_value_count": sum(
+            len(s) for s in pair_collision_values(line).values()
+        ),
+    }
 
 
 @dataclass
@@ -416,42 +401,24 @@ class MixedCertificate:
     params: dict
 
 
-def mixed_certificate(family_or_factors, g: int, parts: int) -> MixedCertificate:
-    left, right = _product_factors(family_or_factors)
+def mixed_certificate(family: SetFamily, g: int, parts: int) -> MixedCertificate:
+    left, right = _product_factors(family)
     if g < 1 or parts < 1:
         raise ParameterError("g and parts must be >= 1")
     k = left.params["k"]
     applicable = parts <= k // 3 - 1
     threshold = -(-k // 3)  # ceil(k/3)
-    size_left = left.size()
-    size_right = right.size()
-    total = size_left * size_right
+    total = left.size() * right.size()
     half = -(-total // 2)
-
-    def branch(line_family, other_size):
-        n_groups = line_family.params["lattice_size"]
-        line_size = line_family.size()
-        row_mass = -(-half // other_size)  # best line holds >= ceil(half/lines)
-        if row_mass > line_size:
-            row_mass = line_size
-        t_min = _pigeonhole_groups(row_mass, n_groups, k, threshold)
-        sign = "sum" if line_family.kind == "W" else "diff"
-        v_total = sum(
-            len(s) for s in pair_collision_values(line_family, sign).values()
+    sum_branch = _line_groups(right, left, half, threshold)
+    diff_branch = _line_groups(left, right, half, threshold)
+    for line, branch in ((right, sum_branch), (left, diff_branch)):
+        capacity = parts * g * branch["collision_value_count"]
+        branch.update(
+            line_size=line.size(),
+            capacity=capacity,
+            exceeds=branch["guaranteed_groups"] > capacity,
         )
-        capacity = parts * g * v_total
-        return {
-            "groups": n_groups,
-            "line_size": line_size,
-            "row_mass": row_mass,
-            "guaranteed_groups": t_min,
-            "collision_value_count": v_total,
-            "capacity": capacity,
-            "exceeds": t_min > capacity,
-        }
-
-    sum_branch = branch(right, size_left)
-    diff_branch = branch(left, size_right)
     verdict = applicable and sum_branch["exceeds"] and diff_branch["exceeds"]
     return MixedCertificate(
         g=g,
@@ -491,9 +458,9 @@ class NoLargeSubsetCertificate:
 
 
 def no_large_bsubset_certificate(
-    family_or_factors, g: int, delta_prime
+    family: SetFamily, g: int, delta_prime
 ) -> NoLargeSubsetCertificate:
-    left, right = _product_factors(family_or_factors)
+    left, right = _product_factors(family)
     delta_prime = Fraction(delta_prime)
     if not 0 < delta_prime <= 1:
         raise ParameterError("delta_prime must lie in (0, 1]")
@@ -504,36 +471,20 @@ def no_large_bsubset_certificate(
         raise ParameterError("need delta_prime * k / 2 >= 2")
     threshold = math.ceil(delta_prime * k / 2)
     gamma = (delta_prime / 2) / (1 - delta_prime / 2)
-    size_left = left.size()
-    size_right = right.size()
-    total = size_left * size_right
+    total = left.size() * right.size()
     subset_mass = math.ceil(delta_prime * total)
-
-    def branch(line_family, other_size):
-        n_groups = line_family.params["lattice_size"]
-        line_size = line_family.size()
-        row_mass = min(-(-subset_mass // other_size), line_size)
-        t_min = _pigeonhole_groups(row_mass, n_groups, k, threshold)
-        pairs_per_group = math.comb(threshold, 2)
-        mass = t_min * pairs_per_group
-        sign = "sum" if line_family.kind == "W" else "diff"
-        v_total = sum(
-            len(s) for s in pair_collision_values(line_family, sign).values()
+    pairs_per_group = math.comb(threshold, 2)
+    sum_branch = _line_groups(right, left, subset_mass, threshold)
+    diff_branch = _line_groups(left, right, subset_mass, threshold)
+    for branch in (sum_branch, diff_branch):
+        pair_mass = branch["guaranteed_groups"] * pairs_per_group
+        capacity = g * branch["collision_value_count"]
+        branch.update(
+            pairs_per_group=pairs_per_group,
+            pair_mass=pair_mass,
+            capacity=capacity,
+            exceeds=pair_mass > capacity,
         )
-        capacity = g * v_total
-        return {
-            "groups": n_groups,
-            "row_mass": row_mass,
-            "guaranteed_groups": t_min,
-            "pairs_per_group": pairs_per_group,
-            "pair_mass": mass,
-            "collision_value_count": v_total,
-            "capacity": capacity,
-            "exceeds": mass > capacity,
-        }
-
-    sum_branch = branch(right, size_left)
-    diff_branch = branch(left, size_right)
     return NoLargeSubsetCertificate(
         g=g,
         delta_prime=delta_prime,

@@ -17,6 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .errors import ParameterError
+
 COEFF_MIN = -2
 COEFF_MAX = 2
 
@@ -119,3 +121,11 @@ class DigitVector:
     def __str__(self):
         return self.to_sparse()
 
+
+def as_int(x) -> int:
+    """An element value as an int: a DigitVector's integer, an int itself."""
+    if isinstance(x, DigitVector):
+        return x.to_integer()
+    if isinstance(x, int):
+        return x
+    raise ParameterError(f"cannot treat {x!r} as an integer")

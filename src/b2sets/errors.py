@@ -9,14 +9,6 @@ class InternalVerificationFailure(B2SetsError):
     """A freshly constructed object failed its own invariant check."""
 
 
-class NoPrimeFound(B2SetsError):
-    """No prime in (d, 2d]; unreachable, kept as a defensive guard."""
-
-
-class SingularSubmatrix(B2SetsError):
-    """A square submatrix that must be invertible has determinant zero."""
-
-
 class EmptyConstruction(B2SetsError):
     """The requested parameters produce an empty lattice, hence no elements."""
 

@@ -6,11 +6,12 @@ and the writer is byte-stable (sorted keys, fixed indentation, trailing
 newline).
 
 A family file is a recipe. Loading rebuilds the family from its kind and
-its k and n (n_max for meyer), requires the file to equal the rebuild's
-JSON form, and returns the rebuild: the stored payload is compared, never
-used. Any edit raises ParameterError, which the CLI reports as a
-configuration error (exit code 2); a rebuild that fails its own invariant
-check raises InternalVerificationFailure (exit code 5).
+its k and n (n_max for meyer), capped at the number of elements the file
+lists, requires the file to equal the rebuild's JSON form, and returns
+the rebuild: the stored payload is compared, never used. Any edit raises
+ParameterError, which the CLI reports as a configuration error (exit code
+2); a rebuild that fails its own invariant check raises
+InternalVerificationFailure (exit code 5).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .construct import (
     build_family,
 )
 from .digitnum import DigitVector
-from .errors import EmptyConstruction, ParameterError
+from .errors import EmptyConstruction, ParameterError, ResourceCap
 
 FAMILY_SCHEMA = "b2sets.setfamily/1"
 ELEMENTS_SCHEMA = "b2sets.elements/1"
@@ -118,7 +119,8 @@ def family_from_dict(data: dict) -> SetFamily:
     """Rebuild the family that ``data`` records and return the rebuild.
 
     Raises ParameterError unless ``data`` is exactly the rebuild's
-    ``family_to_dict`` form.
+    ``family_to_dict`` form. The rebuild may hold no more elements than
+    the file lists, so an inflated recipe stops early.
     """
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != FAMILY_SCHEMA:
@@ -133,10 +135,19 @@ def family_from_dict(data: dict) -> SetFamily:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParameterError(f"params.{name} must be an integer, not {value!r}")
         recipe[name] = value
+    listed = "pairs" if kind == "product" else "elements"
     try:
-        family = build_family(kind, **recipe)
+        recorded = sum(len(part[listed]) for part in data.get("parts"))
+    except (TypeError, KeyError):
+        raise ParameterError(f"family file parts do not list their {listed}") from None
+    try:
+        family = build_family(kind, element_cap=recorded, **recipe)
     except EmptyConstruction as exc:
         raise ParameterError(f"family file records an empty recipe: {exc}") from None
+    except ResourceCap as exc:
+        raise ParameterError(
+            f"family file lists {recorded} elements, fewer than its recipe builds: {exc}"
+        ) from None
     rebuilt = family_to_dict(family)
     if rebuilt != data:
         where = _first_difference(rebuilt, data, "file")

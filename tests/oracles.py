@@ -162,3 +162,21 @@ def greedy_sidon(rng, pool_size, target):
         if len(chosen) == target:
             break
     return chosen
+
+
+def collision_values_by_formula(family):
+    """For a W or Wcirc family, (i, j) -> the set of values
+    sum_c (v_i +- v_j)[c] * 5^(coords[c]*d + c+1) over the lattice tuples,
+    + for W and - for Wcirc, from the code vectors alone."""
+    sign = 1 if family.kind == "W" else -1
+    vectors = family.code.vectors
+    d = family.code.d
+    out = {}
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            combined = [vectors[i][c] + sign * vectors[j][c] for c in range(d)]
+            out[(i + 1, j + 1)] = {
+                sum(combined[c] * 5 ** (el.point.coords[c] * d + c + 1) for c in range(d))
+                for el in family.parts[0].elements
+            }
+    return out

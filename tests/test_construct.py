@@ -5,6 +5,7 @@ import pytest
 from b2sets.analyze import canonical_keys
 from b2sets.codes import reduced_vandermonde
 from b2sets.construct import (
+    build_family,
     build_meyer,
     build_product,
     build_proposition,
@@ -158,6 +159,29 @@ class TestProduct:
             build_product(5, 19, element_cap=10)
 
 
+@pytest.mark.parametrize(
+    "kind,recipe,size",
+    [
+        ("W", {"k": 3, "n": 10}, 36),
+        ("Wcirc", {"k": 5, "n": 14}, 30),
+        ("meyer", {"n_max": 4}, 10),
+        ("proposition", {"k": 2, "n": 2}, 16),
+        ("product", {"k": 3, "n": 6}, 81),
+    ],
+)
+def test_element_cap_holds_for_every_kind(kind, recipe, size):
+    assert build_family(kind, element_cap=size, **recipe).size() == size
+    with pytest.raises(ResourceCap):
+        build_family(kind, element_cap=size - 1, **recipe)
+
+
+def test_element_cap_bounds_k_before_building():
+    with pytest.raises(ResourceCap):
+        build_w(10**6, 10, element_cap=36)
+    with pytest.raises(ResourceCap):
+        build_proposition(10**6, 2, element_cap=16)
+
+
 class TestMeyer:
     def test_small(self):
         m = build_meyer(2)
@@ -274,6 +298,14 @@ class TestDyadicPack:
             (1, (2, 3)),
             (2, (4, 5, 6, 7)),
         ]
+
+    def test_rejects(self):
+        with pytest.raises(ParameterError):
+            dyadic_pack([{1}, set()])
+        with pytest.raises(ParameterError):
+            dyadic_pack([[3, 3]])
+        with pytest.raises(ParameterError):
+            dyadic_pack([{1, 2.5}])
 
     def test_singletons_consecutive(self):
         packed = dyadic_pack([{42}, {-7}, {100}])

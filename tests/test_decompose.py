@@ -17,7 +17,7 @@ from b2sets.decompose import (
 )
 from b2sets.errors import ParameterError
 
-from oracles import brute_min_union
+from oracles import brute_min_union, collision_values_by_formula
 
 
 class TestExactMinUnion:
@@ -136,9 +136,27 @@ class TestCountingCertificate:
 
     def test_value_sets_match_census_values(self):
         w = build_w(3, 10)
-        sets = pair_collision_values(w, "sum")
+        sets = pair_collision_values(w)
         # d=3 supports are single coordinates; values are  +-2 * 5^(i*3+c)
         assert all(len(s) == 7 for s in sets.values())
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            build_w(2, 8),
+            build_w(3, 10),
+            build_w(3, 40),
+            build_w(6, 30),
+            build_w_circ(3, 12),
+            build_w_circ(4, 16),
+            build_w_circ(5, 14),
+            build_w_circ(6, 30),
+            *build_product(5, 19).factors,
+        ],
+        ids=lambda f: f"{f.kind}({f.params['k']},{f.params['n']})",
+    )
+    def test_element_pairs_match_the_formula(self, family):
+        assert pair_collision_values(family) == collision_values_by_formula(family)
 
     def test_diff_kind_for_star(self):
         wc = build_w_circ(5, 14)
@@ -188,14 +206,6 @@ class TestMixedCertificate:
         # the integer pigeonhole is at least the quarter-mass bound
         assert cert.sum_branch["guaranteed_groups"] * 4 >= n_right
         assert cert.diff_branch["guaranteed_groups"] * 4 >= n_left
-
-    def test_factors_form(self):
-        left = build_w_circ(6, 30)
-        right = build_w(6, 30)
-        via_factors = mixed_certificate((left, right), g=1, parts=1)
-        via_family = mixed_certificate(build_product(6, 30), g=1, parts=1)
-        assert via_factors.sum_branch == via_family.sum_branch
-        assert via_factors.diff_branch == via_family.diff_branch
 
     def test_rejects_non_product(self):
         with pytest.raises(ParameterError):

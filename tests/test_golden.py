@@ -35,6 +35,8 @@ SETUP = [
     ["build", "--kind", "W", "--k", "3", "--n", "30", "--out", "w30.json"],
     ["build", "--kind", "W", "--k", "3", "--n", "40", "--out", "w40.json"],
     ["build", "--kind", "product", "--k", "3", "--n", "6", "--out", "p36.json"],
+    ["build", "--kind", "Wcirc", "--k", "5", "--n", "14", "--out", "wc14.json"],
+    ["build", "--kind", "product", "--k", "5", "--n", "19", "--out", "p519.json"],
 ]
 
 COMMANDS = {
@@ -47,6 +49,9 @@ COMMANDS = {
     "energy_w30": ["analyze", "w30.json", "--check", "energy"],
     "audit_w30": ["analyze", "w30.json", "--check", "audit", "--trials", "100", "--seed", "11"],
     "certify_w40": ["certify", "w40.json", "--g", "1", "--parts", "2"],
+    "certify_wc14": ["certify", "wc14.json", "--g", "1", "--parts", "4"],
+    "certify_mixed_p519": ["certify", "p519.json", "--g", "1", "--parts", "1"],
+    "certify_nolarge_p519": ["certify", "p519.json", "--g", "1", "--delta-prime", "1"],
     "decompose_powers": ["decompose", "--values", SIGNED_POWERS, "--g", "7", "--kind", "sum"],
     "meyer9": ["meyer", "--nmax", "9", "--trials", "1000", "--seed", "7"],
     "embed_powers": ["embed", "--values", "5,25,125,625"],

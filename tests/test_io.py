@@ -1,8 +1,14 @@
 import copy
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import b2sets
 from b2sets.cli import main
 from b2sets.construct import (
     build_meyer,
@@ -147,6 +153,42 @@ def test_forged_lattice_size_cannot_pass_a_certificate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "params.lattice_size" in captured.err
+
+
+FORGED_RECIPES = {
+    "W-n": (build_w(3, 10), "n", 10**5),
+    "W-k": (build_w(3, 10), "k", 10**4),
+    "meyer-n_max": (build_meyer(4), "n_max", 10**6),
+    "proposition-k": (build_proposition(2, 2), "k", 40),
+    "product-n": (build_product(3, 6), "n", 10**4),
+}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("name", sorted(FORGED_RECIPES))
+def test_forged_recipe_is_rejected_before_building(name, tmp_path):
+    # The rebuild may hold no more elements than the file lists, so an
+    # inflated recipe is a quick configuration error, not an unbounded
+    # build. The child runs with a 1 GB address-space limit.
+    family, field, value = FORGED_RECIPES[name]
+    data = family_to_dict(family)
+    data["params"][field] = value
+    path = tmp_path / "forged.json"
+    path.write_text(canonical_json(data))
+    env = dict(os.environ, PYTHONPATH=str(Path(b2sets.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "b2sets.cli", "analyze", str(path), "--check", "b2"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
 
 
 def test_sampled_matrix_check_survives_reload(tmp_path):

@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import b2sets
+import b2sets.codes as codes
 import b2sets.decompose as decompose
 from b2sets.analyze import BVerdict
 from b2sets.cli import main
@@ -39,7 +40,7 @@ def test_meyer_failed_subset_is_a_cli_fail(tmp_path, monkeypatch):
 
 
 def test_internal_failure_has_its_own_exit_code(tmp_path, monkeypatch):
-    def broken(family, sign):
+    def broken(family):
         raise InternalVerificationFailure("collision values disagree")
 
     fam = tmp_path / "w.json"
@@ -48,4 +49,13 @@ def test_internal_failure_has_its_own_exit_code(tmp_path, monkeypatch):
     out = tmp_path / "cert.json"
     code = main(["certify", str(fam), "--g", "1", "--parts", "2", "--out", str(out)])
     assert code == 5
+    assert not out.exists()
+
+
+def test_failed_matrix_self_check_is_internal(tmp_path, monkeypatch):
+    # a singular minor is a fault of the tool's own construction, not of
+    # the parameters it was given
+    monkeypatch.setattr(codes, "int_det", lambda rows: 0)
+    out = tmp_path / "w.json"
+    assert main(["build", "--kind", "W", "--k", "3", "--n", "10", "--out", str(out)]) == 5
     assert not out.exists()
