@@ -13,11 +13,16 @@ sign of an int is the sign of its point's first nonzero coordinate.
 Values handed back to callers are decoded to points.
 
 All pair enumeration runs through one kernel over the keys sorted in
-descending order. Where a full value->count map would be large, counts
-are collected in two passes: a first pass tallies a cheap deterministic
-surrogate (the builtin integer hash), a second pass counts exactly every
-value whose surrogate repeats, so reported counts are exact while memory
-stays proportional to the number of repeated values.
+descending order. Up to FULL_MAP_PAIR_LIMIT pairs, a full value->count
+map is built. Above it, each pair value is first reduced to its residue
+mod the prime 2^61 - 1, computed from the keys' residues in a numpy
+uint64 array (about 8 bytes per pair, against about 97 for a hash-table
+entry). The residue is a function of the value, so every repeated value
+has a repeated residue; after one sort, only the pairs whose residue
+repeats are counted exactly as Python ints. Reported counts are exact,
+and Python-object memory stays proportional to the number of repeated
+values. numpy is imported only on that path, so calls below the limit
+never load it.
 
 Conventions, pinned once in the kernel:
 
@@ -44,6 +49,7 @@ from .errors import InternalVerificationFailure, ParameterError, ResourceCap
 
 ENERGY_PAIR_BUDGET = 5 * 10**7
 FULL_MAP_PAIR_LIMIT = 200_000
+RESIDUE_PRIME = 2**61 - 1
 WITNESS_CAP = 10
 EXHAUSTIVE_AUDIT_LIMIT = 20
 AUDIT_TABLE_LIMIT = 3000
@@ -146,24 +152,93 @@ def _pair_positions(order, mode):
     return pairs(order, 2)
 
 
-def _count_values(desc, mode):
-    """Exact counts of the pair values, and the number of distinct values.
+def _count_values(desc, mode, order=None):
+    """Exact counts of the pair values, the number of distinct values, and
+    the input positions of the pairs of every repeated value (i <= j for
+    sums, (larger, smaller) for differences), or {} when no ``order`` is
+    given.
 
     Up to FULL_MAP_PAIR_LIMIT pairs ``counts`` holds every value. Above
-    it, a first pass tallies the builtin hash of each value, a second pass
-    counts exactly the values whose hash repeats, and ``counts`` keeps the
-    repeated ones. A value missing from ``counts`` occurs exactly once.
+    it ``counts`` keeps only the repeated values, found through their
+    residues mod RESIDUE_PRIME (``_residue_counts``, which imports numpy
+    on first use and holds about 8 bytes per pair); a value missing from
+    ``counts`` then occurs exactly once.
     """
-    if _pair_total(len(desc), mode) <= FULL_MAP_PAIR_LIMIT:
-        counts = Counter(_pair_values(desc, mode))
-        return counts, len(counts)
-    hashes = Counter(map(hash, _pair_values(desc, mode)))
-    suspicious = {h for h, c in hashes.items() if c >= 2}
-    singles = len(hashes) - len(suspicious)
-    del hashes
-    flags = map(suspicious.__contains__, map(hash, _pair_values(desc, mode)))
-    counts = Counter(compress(_pair_values(desc, mode), flags))
-    return {v: c for v, c in counts.items() if c >= 2}, singles + len(counts)
+    if _pair_total(len(desc), mode) > FULL_MAP_PAIR_LIMIT:
+        return _residue_counts(desc, mode, order)
+    counts = Counter(_pair_values(desc, mode))
+    if order is None:
+        return counts, len(counts), {}
+    repeated = {v for v, c in counts.items() if c >= 2}
+    return counts, len(counts), _pair_groups(order, desc, mode, repeated)
+
+
+def _residue_counts(desc, mode, order):
+    """``_count_values`` above FULL_MAP_PAIR_LIMIT, in about 8 bytes per pair.
+
+    A pair value's residue mod the prime p = 2^61 - 1 is a function of the
+    value: (r_a + r_b) mod p for a sum, (r_a + (p - r_b)) mod p for a
+    difference, where r is a key's residue. So a value with two or more
+    pairs has a residue that occurs two or more times. All residues go
+    into one uint64 array, which is sorted in place: adjacent equal
+    entries give the repeated residues, and a residue that occurs once
+    belongs to a value that occurs once. A second pass over the rows flags
+    the pairs whose residue repeats, and only those are counted exactly as
+    Python ints, in enumeration order, with their positions.
+    """
+    import numpy as np
+
+    p = np.uint64(RESIDUE_PRIME)
+    first = 0 if mode == "sum" else 1  # row a pairs desc[a] with desc[a + first:]
+    res = np.array([k % RESIDUE_PRIME for k in desc], dtype=np.uint64)
+    other = res if mode == "sum" else p - res  # the residues of +b or -b
+
+    def row(a, out=None):
+        return np.remainder(np.add(other[a + first :], res[a], out=out), p, out=out)
+
+    n = len(desc)
+    residues = np.empty(_pair_total(n, mode), dtype=np.uint64)
+    start = 0
+    for a in range(n - first):
+        stop = start + n - a - first
+        row(a, residues[start:stop])
+        start = stop
+    residues.sort()
+    same = residues[1:] == residues[:-1]
+    repeated = np.unique(residues[1:][same])
+    singles = len(residues) - int(same.sum()) - len(repeated)
+    del residues, same
+    if not len(repeated):
+        return {}, singles, {}
+
+    # a direct-address table of the low residue bits passes every repeated
+    # residue and few others; the binary search then runs on those alone
+    table = np.zeros(1 << max(16, (16 * len(repeated)).bit_length()), dtype=bool)
+    low = np.uint64(len(table) - 1)
+    table[repeated & low] = True
+    op = add if mode == "sum" else sub
+    counts: Counter = Counter()
+    groups: dict = {}
+    for a in range(n - first):
+        r = row(a)
+        hits = np.flatnonzero(table[r & low])
+        hits = hits[repeated.take(np.searchsorted(repeated, r[hits]), mode="clip") == r[hits]]
+        if not len(hits):
+            continue
+        bs = (hits + (a + first)).tolist()
+        ka = desc[a]
+        values = [op(ka, desc[b]) for b in bs]
+        counts.update(values)
+        if order is not None:
+            i = order[a]
+            for v, b in zip(values, bs):
+                j = order[b]
+                groups.setdefault(v, []).append((j, i) if mode == "sum" and i > j else (i, j))
+    distinct = singles + len(counts)
+    counts = {v: c for v, c in counts.items() if c >= 2}
+    if order is not None:
+        groups = {v: groups[v] for v in counts}
+    return counts, distinct, groups
 
 
 def _pair_groups(order, desc, mode, wanted):
@@ -191,9 +266,7 @@ def _pair_counts(keys, mode):
     pairs.
     """
     order, desc = _descending(keys)
-    counts, distinct = _count_values(desc, mode)
-    repeated = {v for v, c in counts.items() if c >= 2}
-    return counts, distinct, _pair_groups(order, desc, mode, repeated)
+    return _count_values(desc, mode, order)
 
 
 # -- representation profiles ------------------------------------------------
@@ -354,7 +427,7 @@ def _sum_energy(desc):
     included, give r(v) = 2U(v) - [v in 2A] ordered ones; a value missing
     from the counts has U(v) = 1."""
     doubles = {k + k for k in desc}
-    counts, distinct = _count_values(desc, "sum")
+    counts, distinct, _ = _count_values(desc, "sum")
     once = distinct - len(counts)
     doubles_once = sum(v not in counts for v in doubles)
     energy = 4 * (once - doubles_once) + doubles_once
@@ -365,7 +438,7 @@ def _sum_energy(desc):
 def _diff_energy(desc):
     """Ordered difference quadruples and |A-A|. A positive value with c(v)
     pairs has c(v) ordered representations, and so has -v; zero has |A|."""
-    counts, positive = _count_values(desc, "diff")
+    counts, positive, _ = _count_values(desc, "diff")
     squares = sum(c * c for c in counts.values()) + positive - len(counts)
     return len(desc) ** 2 + 2 * squares, 1 + 2 * positive
 

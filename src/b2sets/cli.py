@@ -14,7 +14,6 @@ internal failure (a check of the tool's own work failed).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
@@ -55,6 +54,7 @@ from .io import (
     family_from_dict,
     family_to_dict,
     parse_element,
+    read_json,
 )
 
 EXIT_PASS = 0
@@ -157,7 +157,7 @@ def _load_set(args):
         return [parse_element(v) for v in args.values.split(",")], None
     if not args.setfile:
         raise ParameterError("provide a set file or --values")
-    data = json.loads(Path(args.setfile).read_text())
+    data = read_json(args.setfile)
     if isinstance(data, dict) and data.get("schema") == FAMILY_SCHEMA:
         family = family_from_dict(data)
         return family.union_values(), family
@@ -359,13 +359,18 @@ def cmd_certify(args) -> int:
                     if cert.verdict
                     else f"; {cert.lhs} <= {cert.capacity} yields no conclusion"
                 )
+                if cert.applicable
+                else f"not applicable (t >= k): the {cert.params['k']} elements "
+                f"of a lattice tuple can lie in {args.parts} distinct parts, so no "
+                f"same-part pair is forced"
             ),
         }
         verdicts.append(
             {
                 "check": f"counting-certificate[g={args.g}, t={args.parts}]",
                 "pass": cert.verdict,
-                "detail": f"lhs={cert.lhs} capacity={cert.capacity}",
+                "detail": f"lhs={cert.lhs} capacity={cert.capacity}"
+                + ("" if cert.applicable else "; not applicable (t >= k)"),
             }
         )
     report = _report("certify", config, results, verdicts)
@@ -537,7 +542,7 @@ def main(argv=None) -> int:
     except ResourceCap as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParameterError, EmptyConstruction, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParameterError, EmptyConstruction, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InternalVerificationFailure as exc:

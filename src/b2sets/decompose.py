@@ -284,17 +284,20 @@ def pair_collision_values(family: SetFamily) -> dict:
 class CountingCertificate:
     """Exact pigeonhole certificate that no t-part decomposition exists.
 
-    Every lattice tuple forces one same-part pair among its k elements,
-    hence one representation of one of the V collision values inside one
-    of the t parts; each (part, value) cell absorbs at most g of these
-    because distinct tuples give distinct representations. verdict is
-    True exactly when lhs > capacity = t*g*V.
+    With t < k parts, every lattice tuple forces one same-part pair among
+    its k elements, hence one representation of one of the V collision
+    values inside one of the t parts; each (part, value) cell absorbs at
+    most g of these because distinct tuples give distinct representations.
+    ``applicable`` is t < k: with t >= k parts the k elements of a tuple
+    can lie in distinct parts, as the family's own parts show. verdict is
+    True exactly when the certificate applies and lhs > capacity = t*g*V.
     """
 
     family_kind: str
     kind: str  # "sum" | "diff"
     g: int
     parts: int
+    applicable: bool
     lhs: int
     collision_value_count: int
     capacity: int
@@ -318,21 +321,24 @@ def counting_certificate(family: SetFamily, g: int, parts: int) -> CountingCerti
     d = family.params["d"]
     m = family.params["m"]
     n = family.params["n"]
+    k = family.params["k"]
     formula = (n // (2 * d * m)) ** m
     if formula > lhs:
         raise InternalVerificationFailure("closed-form lattice lower bound does not hold")
+    applicable = parts < k
     return CountingCertificate(
         family_kind=family.kind,
         kind=kind,
         g=g,
         parts=parts,
+        applicable=applicable,
         lhs=lhs,
         collision_value_count=v_total,
         capacity=capacity,
-        verdict=lhs > capacity,
+        verdict=applicable and lhs > capacity,
         formula_lower_bound=formula,
         per_pair_counts={pair: len(s) for pair, s in value_sets.items()},
-        params={"k": family.params["k"], "n": n, "d": d, "m": m},
+        params={"k": k, "n": n, "d": d, "m": m},
     )
 
 

@@ -159,12 +159,22 @@ def save_family(family: SetFamily, path) -> None:
     Path(path).write_text(canonical_json(family_to_dict(family)))
 
 
+def read_json(path):
+    """The parsed contents of a JSON file. Text that is not UTF-8,
+    malformed JSON, and an integer longer than the interpreter's
+    int-string limit (4,300 digits by default) are configuration errors."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+
+
 def load_family(path) -> SetFamily:
-    return family_from_dict(json.loads(Path(path).read_text()))
+    return family_from_dict(read_json(path))
 
 
 def load_elements(path):
-    return elements_from_dict(json.loads(Path(path).read_text()))
+    return elements_from_dict(read_json(path))
 
 
 def elements_from_dict(data: dict):

@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import b2sets
+import b2sets.analyze as analyze
 from b2sets.analyze import (
+    RESIDUE_PRIME,
     AuditParams,
     additive_energy,
     canonical_keys,
@@ -105,8 +112,28 @@ def _seeded_points(n, seed):
     return random.Random(seed).sample(box, n)
 
 
+def _residue(value):
+    if isinstance(value, tuple):
+        return tuple(c % RESIDUE_PRIME for c in value)
+    return value % RESIDUE_PRIME
+
+
+_P = RESIDUE_PRIME
+# Elements whose keys share residues mod RESIDUE_PRIME, so that many
+# distinct pair values share a residue. Planar keys are linear in the
+# coordinates, so points whose coordinates differ by multiples of the
+# prime have keys that differ by a multiple of it.
+RESIDUE_TWINS = {
+    "ints": [0, 1, _P + 1, 2 * _P + 1, -_P, -_P + 1, -3 * _P + 2, 2, _P + 2, 5 * _P],
+    "points": [
+        (0, 0), (_P, 0), (0, _P), (1, 1), (_P + 1, 1 - _P),
+        (-_P, 2), (2 * _P, -_P), (1, 2 * _P + 1), (-1, 0), (_P - 1, 3 * _P),
+    ],
+}
+
+
 class TestCountingPaths:
-    """The two-pass surrogate and the full value map must agree exactly."""
+    """The residue path and the full value map must agree exactly."""
 
     # 640 elements give 205,120 sum pairs and 204,480 difference pairs,
     # just above FULL_MAP_PAIR_LIMIT.
@@ -128,6 +155,7 @@ class TestCountingPaths:
         assert full.distinct_values == surrogate.distinct_values
         assert {v: c for v, c in full.counts.items() if c >= 2} == surrogate.counts
         assert full.witnesses == surrogate.witnesses
+        assert list(full.repeated.items()) == list(surrogate.repeated.items())
 
     @pytest.mark.parametrize("make", [_seeded_ints, _seeded_points])
     def test_energy_paths_agree(self, make, monkeypatch):
@@ -137,6 +165,55 @@ class TestCountingPaths:
         surrogate = additive_energy(elements)
         monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", self.N * self.N)
         assert additive_energy(elements) == surrogate
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    @pytest.mark.parametrize("name", sorted(RESIDUE_TWINS))
+    def test_residue_twins_are_told_apart(self, name, mode, monkeypatch):
+        # Distinct pair values that share a residue mod RESIDUE_PRIME are
+        # flagged together and must still be counted apart. The limit is
+        # 0, so the residue path runs on a handful of elements.
+        elements = RESIDUE_TWINS[name]
+        full = rep_profile(elements, mode)
+        energy = additive_energy(elements)
+        assert full.counts_complete
+        assert len(set(map(_residue, full.counts))) < len(full.counts)
+        monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", 0)
+        residue = rep_profile(elements, mode)
+        assert not residue.counts_complete
+        assert residue.max_count == full.max_count
+        assert residue.distinct_values == full.distinct_values
+        assert list(residue.counts.items()) == [
+            (v, c) for v, c in full.counts.items() if c >= 2
+        ]
+        assert residue.witnesses == full.witnesses
+        assert list(residue.repeated.items()) == list(full.repeated.items())
+        assert additive_energy(elements) == energy
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    @pytest.mark.parametrize("family", [build_w(3, 10), build_w_circ(3, 12)], ids=["W", "Wcirc"])
+    def test_census_paths_agree(self, family, mode, monkeypatch):
+        full = collision_census(family, mode)
+        monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", 0)
+        assert collision_census(family, mode) == full
+        assert full.records
+
+    def test_small_calls_do_not_import_numpy(self):
+        # numpy serves only the residue path, which no call below
+        # FULL_MAP_PAIR_LIMIT pairs reaches.
+        code = (
+            "import random, sys\n"
+            "import b2sets\n"
+            "from b2sets.analyze import additive_energy, is_b2, is_b2_circ\n"
+            "values = random.Random(1).sample(range(10**6), 300)\n"
+            "is_b2(values, 2), is_b2_circ(values, 2), additive_energy(values)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(b2sets.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("mode", ["sum", "diff"])
     def test_census_values_are_repeated_values(self, mode):

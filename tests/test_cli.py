@@ -126,6 +126,18 @@ class TestCertifyDecompose:
         main(["build", "--kind", "W", "--k", "3", "--n", "10", "--out", str(out)])
         assert main(["certify", str(out), "--g", "1", "--parts", "2"]) == 1
 
+    def test_certificate_not_applicable_exit_1(self, tmp_path):
+        # W(3,60) has lhs=570 > capacity=513 at t=3, but its own 3 parts
+        # are a 3-part decomposition: t >= k is no certificate at all.
+        out = tmp_path / "w60.json"
+        main(["build", "--kind", "W", "--k", "3", "--n", "60", "--out", str(out)])
+        rep_path = tmp_path / "cert.json"
+        assert main(["certify", str(out), "--g", "1", "--parts", "3", "--out", str(rep_path)]) == 1
+        rep = read(rep_path)
+        assert rep["results"]["lhs"] > rep["results"]["capacity"]
+        assert rep["results"]["sketch"].startswith("not applicable (t >= k)")
+        assert main(["certify", str(out), "--g", "1", "--parts", "2"]) == 0
+
     def test_decompose_minimum(self, tmp_path):
         values = ",".join(
             [str(5**i) for i in range(1, 9)] + [str(-(5**i)) for i in range(1, 9)]

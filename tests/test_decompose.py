@@ -184,6 +184,27 @@ class TestCountingCertificate:
         assert rep.results[1].status == "SAT"
 
 
+SWEEP_N = (10, 20, 40, 60)
+SWEEP_FAMILIES = [("W", k, n) for k in (2, 3, 4) for n in SWEEP_N] + [
+    ("Wcirc", k, n) for k in (3, 4, 5, 6) for n in SWEEP_N
+]
+
+
+@pytest.mark.parametrize("kind,k,n", SWEEP_FAMILIES, ids=lambda x: str(x))
+def test_counting_certificate_never_refutes_the_own_parts(kind, k, n):
+    # A second method that shares no code with the certificate: the
+    # family's own k parts are each B2[1] (W, sums) or B°2[1] (Wcirc,
+    # differences), so they are a t-part decomposition for every t >= k,
+    # and no certificate at such t may PASS.
+    family = (build_w if kind == "W" else build_w_circ)(k, n)
+    check = is_b2 if kind == "W" else is_b2_circ
+    assert all(check(values, 1).passed for values in family.part_values())
+    for t in range(1, k + 2):
+        cert = counting_certificate(family, g=1, parts=t)
+        assert cert.applicable == (t < k)
+        assert not (cert.verdict and t >= k), (kind, k, n, t)
+
+
 class TestMixedCertificate:
     def test_not_applicable_above_k_third(self):
         prod = build_product(6, 30)

@@ -37,6 +37,7 @@ SETUP = [
     ["build", "--kind", "product", "--k", "3", "--n", "6", "--out", "p36.json"],
     ["build", "--kind", "Wcirc", "--k", "5", "--n", "14", "--out", "wc14.json"],
     ["build", "--kind", "product", "--k", "5", "--n", "19", "--out", "p519.json"],
+    ["build", "--kind", "W", "--k", "2", "--n", "10", "--out", "w2_10.json"],
 ]
 
 COMMANDS = {
@@ -50,6 +51,7 @@ COMMANDS = {
     "audit_w30": ["analyze", "w30.json", "--check", "audit", "--trials", "100", "--seed", "11"],
     "certify_w40": ["certify", "w40.json", "--g", "1", "--parts", "2"],
     "certify_wc14": ["certify", "wc14.json", "--g", "1", "--parts", "4"],
+    "certify_w2_10_t2": ["certify", "w2_10.json", "--g", "1", "--parts", "2"],
     "certify_mixed_p519": ["certify", "p519.json", "--g", "1", "--parts", "1"],
     "certify_nolarge_p519": ["certify", "p519.json", "--g", "1", "--delta-prime", "1"],
     "decompose_powers": ["decompose", "--values", SIGNED_POWERS, "--g", "7", "--kind", "sum"],

@@ -191,6 +191,36 @@ def test_forged_recipe_is_rejected_before_building(name, tmp_path):
     assert "configuration error" in proc.stderr
 
 
+def _overlong_n():
+    data = family_to_dict(build_w(3, 10))
+    data["params"]["n"] = 1
+    text = canonical_json(data).replace('"n": 1,', '"n": ' + "7" * 5000 + ",")
+    assert "7" * 5000 in text
+    return text.encode()
+
+
+@pytest.mark.parametrize(
+    "make", [_overlong_n, lambda: b"\xff\xfe{}"], ids=["overlong-int", "not-utf8"]
+)
+def test_unreadable_json_is_a_config_error(make, tmp_path):
+    # json.loads raises a plain ValueError for an integer longer than the
+    # int-string limit (4,300 digits), and read_text one for bytes that
+    # are not UTF-8; neither may end in a traceback.
+    path = tmp_path / "bad.json"
+    path.write_bytes(make())
+    env = dict(os.environ, PYTHONPATH=str(Path(b2sets.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "b2sets.cli", "analyze", str(path), "--check", "b2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sampled_matrix_check_survives_reload(tmp_path):
     family = build_w_circ(17, 98)
     assert family.size() == 17
