@@ -349,27 +349,22 @@ class BVerdict:
 def is_b2(elements, g: int) -> BVerdict:
     """True iff every value has at most g unordered representations as a
     sum of two elements (the diagonal pair counts once)."""
-    if g < 1:
-        raise ParameterError("g must be >= 1")
-    prof = rep_profile(elements, "sum")
-    passed = prof.max_count <= g
-    witness = None if passed else _violating_witness(prof)
-    return BVerdict(passed, "sum", g, prof.max_count, witness)
+    return _bounded_repetition(elements, g, "sum")
 
 
 def is_b2_circ(elements, g: int) -> BVerdict:
     """True iff every nonzero value has at most g ordered representations
     as a difference of two elements."""
+    return _bounded_repetition(elements, g, "diff")
+
+
+def _bounded_repetition(elements, g: int, mode: str) -> BVerdict:
     if g < 1:
         raise ParameterError("g must be >= 1")
-    prof = rep_profile(elements, "diff")
+    prof = rep_profile(elements, mode)
     passed = prof.max_count <= g
-    witness = None if passed else _violating_witness(prof)
-    return BVerdict(passed, "diff", g, prof.max_count, witness)
-
-
-def _violating_witness(prof: RepProfile) -> Witness | None:
-    return prof.witnesses[0] if prof.witnesses else None
+    witness = prof.witnesses[0] if not passed and prof.witnesses else None
+    return BVerdict(passed, mode, g, prof.max_count, witness)
 
 
 # -- additive energy ---------------------------------------------------------

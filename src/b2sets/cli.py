@@ -542,7 +542,7 @@ def main(argv=None) -> int:
     except ResourceCap as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParameterError, EmptyConstruction, FileNotFoundError) as exc:
+    except (ParameterError, EmptyConstruction, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InternalVerificationFailure as exc:

@@ -9,22 +9,24 @@ Two kinds of {+1, -1} vector families parameterize the set constructions:
   nonzero exactly in coordinates {i, j}.
 
 The reduced Vandermonde matrix supplies the lattice behind the families:
-its entries are powers of 1..d reduced modulo a prime p with d < p <= 2d,
-so every selection of ceil(d/2) rows stays invertible over the integers.
-All verification here is exact integer arithmetic; no floats.
+row r holds the powers r^0, ..., r^(m-1) of its node r reduced modulo a
+prime p with d < p <= 2d, m = ceil(d/2). Any m rows form a Vandermonde
+matrix whose determinant is the product of the node differences, nonzero
+mod p because the nodes 1..d are distinct and nonzero mod p; so every
+selection of m rows is invertible over the integers. The construction
+re-checks these hypotheses on the rows it built. All verification here
+is exact integer arithmetic; no floats.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InternalVerificationFailure, ParameterError
 
 SUBMATRIX_VERIFY_LIMIT = 20000
-SUBMATRIX_SAMPLE = 200
 
 
 def walsh_rows(j: int) -> tuple[tuple[int, ...], ...]:
@@ -161,17 +163,11 @@ def int_det(rows) -> int:
 
 @dataclass(frozen=True)
 class ReducedVandermonde:
-    """d rows of m = ceil(d/2) positive entries, reduced modulo ``prime``.
-
-    Row r is (r^0, r^1, ..., r^(m-1)) mod prime with residue 0 mapped to
-    prime itself, which keeps entries positive without disturbing
-    invertibility: a determinant nonzero mod p is nonzero over the
-    integers.
-    """
+    """d rows of m = ceil(d/2) entries in 1..prime-1: row r is
+    (r^0, r^1, ..., r^(m-1)) mod prime."""
 
     rows: tuple[tuple[int, ...], ...]
     prime: int
-    verified: str = field(default="exhaustive", compare=False)
 
     @property
     def d(self) -> int:
@@ -186,41 +182,39 @@ class ReducedVandermonde:
 
 
 def reduced_vandermonde(d: int) -> ReducedVandermonde:
-    """The d x ceil(d/2) Vandermonde matrix reduced modulo the smallest
-    prime in (d, 2d].
+    """The d x ceil(d/2) Vandermonde matrix on the nodes 1..d, reduced
+    modulo the smallest prime p in (d, 2d].
 
-    Every m-row submatrix is invertible: the nodes 1..d stay distinct and
-    nonzero modulo p, so each such submatrix is a Vandermonde matrix with
-    nonzero determinant mod p. The determinants are re-checked exactly,
-    exhaustively when C(d, m) is small and on a seeded sample otherwise.
+    Every m-row submatrix is invertible: it is a Vandermonde matrix whose
+    determinant, the product of its node differences, is nonzero mod p
+    because the nodes are distinct and nonzero mod p. The hypotheses of
+    that argument (p prime, m <= d < p, distinct nonzero nodes, each row
+    the geometric sequence of its node) are re-checked on the built rows
+    at O(d*m) cost; when C(d, m) is small every determinant is also
+    checked exactly.
     """
     if d < 1:
         raise ParameterError("reduced_vandermonde requires d >= 1")
-    prime = 0
-    for p in range(d + 1, 2 * d + 1):
-        if _is_prime(p):
-            prime = p
-            break
-    if not prime:
-        raise InternalVerificationFailure(f"no prime in ({d}, {2 * d}]")
+    prime = next((p for p in range(d + 1, 2 * d + 1) if _is_prime(p)), 0)
     m = (d + 1) // 2
+    if not (_is_prime(prime) and m <= d < prime):
+        raise InternalVerificationFailure(f"no prime modulus above d={d} >= m={m}")
     rows = tuple(
-        tuple((pow(r, c, prime) or prime) for c in range(m))
-        for r in range(1, d + 1)
+        tuple(pow(r, c, prime) for c in range(m)) for r in range(1, d + 1)
     )
-    total = math.comb(d, m)
-    if total <= SUBMATRIX_VERIFY_LIMIT:
-        picks = combinations(range(d), m)
-        verified = "exhaustive"
-    else:
-        rng = random.Random(0xB25)
-        picks = (
-            tuple(sorted(rng.sample(range(d), m)))
-            for _ in range(SUBMATRIX_SAMPLE)
-        )
-        verified = f"sampled({SUBMATRIX_SAMPLE} of {total})"
-    for pick in picks:
-        det = int_det([rows[r] for r in pick])
-        if det == 0:
-            raise InternalVerificationFailure(f"rows {pick} are singular")
-    return ReducedVandermonde(rows=rows, prime=prime, verified=verified)
+    nodes = [r % prime for r in range(1, d + 1)]
+    if 0 in nodes or len(set(nodes)) != d:
+        raise InternalVerificationFailure(f"nodes 1..{d} collide mod {prime}")
+    for node, row in zip(nodes, rows):
+        power = 1
+        for c, entry in enumerate(row):
+            if entry != power:
+                raise InternalVerificationFailure(
+                    f"row {node} entry {c} is {entry}, not {node}^{c} mod {prime}"
+                )
+            power = power * node % prime
+    if math.comb(d, m) <= SUBMATRIX_VERIFY_LIMIT:
+        for pick in combinations(range(d), m):
+            if int_det([rows[r] for r in pick]) == 0:
+                raise InternalVerificationFailure(f"rows {pick} are singular")
+    return ReducedVandermonde(rows=rows, prime=prime)

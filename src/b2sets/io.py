@@ -160,12 +160,13 @@ def save_family(family: SetFamily, path) -> None:
 
 
 def read_json(path):
-    """The parsed contents of a JSON file. Text that is not UTF-8,
+    """The parsed contents of a JSON file. A path that cannot be read (a
+    missing file, a directory, no permission), text that is not UTF-8,
     malformed JSON, and an integer longer than the interpreter's
     int-string limit (4,300 digits by default) are configuration errors."""
     try:
         return json.loads(Path(path).read_text())
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ParameterError(f"{path}: {exc}") from None
 
 

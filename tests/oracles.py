@@ -5,6 +5,9 @@ tallies over explicit pair loops, literal quadruple scans, and exhaustive
 partition enumeration. Slow but obviously correct.
 """
 
+import random
+
+
 def vadd(a, b):
     if isinstance(a, tuple):
         return tuple(x + y for x, y in zip(a, b))
@@ -180,3 +183,11 @@ def collision_values_by_formula(family):
                 for el in family.parts[0].elements
             }
     return out
+
+
+def sampled_minors(rows, count=200, seed=0xB25):
+    """``count`` seeded square minors of a d x m matrix, each made of m
+    of its d rows in order."""
+    rng = random.Random(seed)
+    d, m = len(rows), len(rows[0])
+    return [[rows[r] for r in sorted(rng.sample(range(d), m))] for _ in range(count)]

@@ -35,6 +35,8 @@ class TestBuild:
     def test_config_error_exit_2(self, tmp_path):
         assert main(["build", "--kind", "meyer"]) == 2  # missing --nmax
         assert main(["build", "--kind", "W", "--k", "3", "--n", "3"]) == 2  # empty
+        out_dir = ["--out", str(tmp_path)]  # an output path that is a directory
+        assert main(["build", "--kind", "W", "--k", "3", "--n", "10", *out_dir]) == 2
 
     def test_resource_cap_exit_3(self, tmp_path):
         assert (

@@ -3,14 +3,17 @@ from itertools import combinations
 
 import pytest
 
+import b2sets.codes as codes
 from b2sets.codes import (
+    SUBMATRIX_VERIFY_LIMIT,
     hadamard_code_vectors,
     int_det,
     reduced_vandermonde,
     star_code_vectors,
     walsh_rows,
 )
-from b2sets.errors import ParameterError
+from b2sets.errors import InternalVerificationFailure, ParameterError
+from oracles import sampled_minors
 
 
 class TestWalsh:
@@ -131,6 +134,22 @@ class TestReducedVandermonde:
     def test_rejects_bad_d(self):
         with pytest.raises(ParameterError):
             reduced_vandermonde(0)
+
+    @pytest.mark.parametrize("d", [17, 31, 63])
+    def test_sampled_minors_invertible_above_exhaustive_limit(self, d):
+        # above the limit the build checks the theorem's hypotheses only;
+        # a seeded sample of its minors must still be invertible
+        rv = reduced_vandermonde(d)
+        assert math.comb(d, rv.m) > SUBMATRIX_VERIFY_LIMIT
+        assert all(int_det(minor) != 0 for minor in sampled_minors(rv.rows))
+
+    @pytest.mark.parametrize("d", [3, 63])
+    def test_broken_hypothesis_is_internal(self, d, monkeypatch):
+        # every row built from node 2: repeated nodes, and rows that are
+        # not the powers of their own nodes
+        monkeypatch.setattr(codes, "pow", lambda r, c, p: pow(2, c, p), raising=False)
+        with pytest.raises(InternalVerificationFailure, match="row 1 entry 1 is 2"):
+            reduced_vandermonde(d)
 
 
 class TestIntDet:

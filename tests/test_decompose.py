@@ -205,6 +205,27 @@ def test_counting_certificate_never_refutes_the_own_parts(kind, k, n):
         assert not (cert.verdict and t >= k), (kind, k, n, t)
 
 
+# n = 60 is left out: greedy_union takes 1-1.5 s per g on W(3, 60) and W(4, 60)
+GREEDY_SWEEP = [
+    (g, kind, k, n) for g in (1, 2, 3) for kind, k, n in SWEEP_FAMILIES if n <= 40
+]
+
+
+@pytest.mark.parametrize("g,kind,k,n", GREEDY_SWEEP, ids=lambda x: str(x))
+def test_counting_certificate_never_refutes_a_greedy_decomposition(g, kind, k, n):
+    # Two constructive witnesses at every g: first-fit greedy_union, and
+    # the family's own k parts (B2[1], hence B2[g]). Neither shares code
+    # with the certificate, so no PASS at (g, t) may coexist with either
+    # decomposition into at most t parts. Only a PASS can be contradicted,
+    # so the greedy search (seconds on Wcirc(5, 40)) runs only under one.
+    family = (build_w if kind == "W" else build_w_circ)(k, n)
+    mode = "sum" if kind == "W" else "diff"
+    passes = [t for t in range(1, k + 2) if counting_certificate(family, g=g, parts=t).verdict]
+    if passes:
+        greedy = greedy_union(family.union_values(), g, mode)
+        assert max(passes) < min(k, greedy.parts_used), (passes, greedy.parts_used)
+
+
 class TestMixedCertificate:
     def test_not_applicable_above_k_third(self):
         prod = build_product(6, 30)

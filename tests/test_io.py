@@ -10,6 +10,7 @@ import pytest
 
 import b2sets
 from b2sets.cli import main
+from b2sets.codes import int_det
 from b2sets.construct import (
     build_meyer,
     build_product,
@@ -28,6 +29,7 @@ from b2sets.io import (
     save_elements,
     save_family,
 )
+from oracles import sampled_minors
 
 
 @pytest.mark.parametrize(
@@ -158,6 +160,11 @@ def test_forged_lattice_size_cannot_pass_a_certificate(tmp_path, capsys):
 FORGED_RECIPES = {
     "W-n": (build_w(3, 10), "n", 10**5),
     "W-k": (build_w(3, 10), "k", 10**4),
+    # k below the listed element count passes the cap, so these build the
+    # code vectors and the d x ceil(d/2) matrix for d >= k before the
+    # empty lattice stops them
+    "W-k200": (build_w(3, 30), "k", 200),
+    "Wcirc-k400": (build_w_circ(5, 35), "k", 400),
     "meyer-n_max": (build_meyer(4), "n_max", 10**6),
     "proposition-k": (build_proposition(2, 2), "k", 40),
     "product-n": (build_product(3, 6), "n", 10**4),
@@ -191,23 +198,26 @@ def test_forged_recipe_is_rejected_before_building(name, tmp_path):
     assert "configuration error" in proc.stderr
 
 
-def _overlong_n():
+def _overlong_n(path):
     data = family_to_dict(build_w(3, 10))
     data["params"]["n"] = 1
     text = canonical_json(data).replace('"n": 1,', '"n": ' + "7" * 5000 + ",")
     assert "7" * 5000 in text
-    return text.encode()
+    path.write_text(text)
 
 
 @pytest.mark.parametrize(
-    "make", [_overlong_n, lambda: b"\xff\xfe{}"], ids=["overlong-int", "not-utf8"]
+    "make",
+    [_overlong_n, lambda path: path.write_bytes(b"\xff\xfe{}"), Path.mkdir],
+    ids=["overlong-int", "not-utf8", "directory"],
 )
 def test_unreadable_json_is_a_config_error(make, tmp_path):
     # json.loads raises a plain ValueError for an integer longer than the
-    # int-string limit (4,300 digits), and read_text one for bytes that
-    # are not UTF-8; neither may end in a traceback.
+    # int-string limit (4,300 digits), read_text one for bytes that are
+    # not UTF-8 and an OSError for a directory; none may end in a
+    # traceback. (An unreadable file is the same OSError branch.)
     path = tmp_path / "bad.json"
-    path.write_bytes(make())
+    make(path)
     env = dict(os.environ, PYTHONPATH=str(Path(b2sets.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "b2sets.cli", "analyze", str(path), "--check", "b2"],
@@ -222,12 +232,16 @@ def test_unreadable_json_is_a_config_error(make, tmp_path):
 
 
 def test_sampled_matrix_check_survives_reload(tmp_path):
+    # C(17, 9) = 24,310 minors is above the exhaustive limit, so the build
+    # rests on the theorem's hypotheses; the reloaded matrix is the same
+    # and a seeded sample of its minors is invertible
     family = build_w_circ(17, 98)
     assert family.size() == 17
-    assert family.matrix.verified == "sampled(200 of 24310)"
     path = tmp_path / "wc17.json"
     save_family(family, path)
-    assert load_family(path).matrix.verified == family.matrix.verified
+    matrix = load_family(path).matrix
+    assert matrix == family.matrix
+    assert all(int_det(minor) != 0 for minor in sampled_minors(matrix.rows))
 
 
 def test_elements_file_round_trip(tmp_path):
