@@ -31,7 +31,10 @@ Conventions, pinned once in the kernel:
   profile stores one entry per +-value class in its positive orientation
   (counts for v and -v are equal), and zero is reported separately;
 * witnesses are selected deterministically, smallest values first (for
-  differences: smallest positive-orientation value first).
+  differences: smallest positive-orientation value first);
+* a profile lists the pairs of every repeated value and only counts the
+  rest, since each of them occurs exactly once, so its size does not
+  depend on which counting path ran.
 """
 
 from __future__ import annotations
@@ -256,17 +259,12 @@ def _pair_groups(order, desc, mode, wanted):
     return groups
 
 
-def _pair_counts(keys, mode):
-    """Exact representation counts of the pair values of distinct int keys.
-
-    Returns (counts, distinct, groups): ``counts`` maps every value to its
-    count when there are at most FULL_MAP_PAIR_LIMIT pairs, otherwise every
-    repeated value; ``distinct`` is the number of distinct values; and
-    ``groups`` maps each repeated value to the input positions of its
-    pairs.
-    """
+def _repeated_pairs(keys, mode):
+    """The number of distinct pair values of distinct int keys, and the
+    input positions of the pairs of each repeated value."""
     order, desc = _descending(keys)
-    return _count_values(desc, mode, order)
+    _, distinct, groups = _count_values(desc, mode, order)
+    return distinct, groups
 
 
 # -- representation profiles ------------------------------------------------
@@ -283,14 +281,13 @@ class Witness:
 class RepProfile:
     """Exact representation counts for pair sums or differences.
 
-    ``counts`` maps values to counts: the complete map when
-    ``counts_complete`` is true (small inputs), otherwise every value
-    with at least two representations. ``repeated`` maps every value with
-    at least two representations to the input positions (i, j) of its
-    pairs, oriented like the witness pairs. In diff mode each entry stands
-    for the +-class of its value taken in positive orientation, and
-    ``zero_pairs`` reports the |A| trivial representations of zero, which
-    are excluded from the counts.
+    ``repeated`` maps every value with at least two representations to
+    the input positions (i, j) of its pairs, oriented like the witness
+    pairs, so a value's count is the length of its list; each of the
+    other ``distinct_values`` occurs exactly once. In diff mode each entry
+    stands for the +-class of its value taken in positive orientation,
+    and ``zero_pairs`` reports the |A| trivial representations of zero,
+    which are excluded from the counts.
     """
 
     mode: str
@@ -298,22 +295,21 @@ class RepProfile:
     total_pairs: int
     distinct_values: int
     max_count: int
-    counts: dict
-    counts_complete: bool
     witnesses: list[Witness]
     repeated: dict
     zero_pairs: int = 0
 
 
-def rep_profile(elements, mode: str, witness_cap: int = WITNESS_CAP) -> RepProfile:
+def rep_profile(elements, mode: str) -> RepProfile:
     """Exact per-value representation counts for a list of distinct
-    elements, in ``sum`` or ``diff`` mode."""
+    elements, in ``sum`` or ``diff`` mode, with up to WITNESS_CAP
+    witnesses of the largest count."""
     items = list(elements)
     keys, decode = canonical_keys(items)
     n = len(keys)
     total = _pair_total(n, mode)
-    counts, distinct, groups = _pair_counts(keys, mode)
-    max_count = max(counts.values(), default=min(total, 1))
+    distinct, groups = _repeated_pairs(keys, mode)
+    max_count = max(map(len, groups.values()), default=min(total, 1))
     best = sorted(v for v, pairs in groups.items() if len(pairs) == max_count)
     witnesses = [
         Witness(
@@ -321,7 +317,7 @@ def rep_profile(elements, mode: str, witness_cap: int = WITNESS_CAP) -> RepProfi
             count=max_count,
             pairs=tuple((items[i], items[j]) for i, j in sorted(groups[v])),
         )
-        for v in best[:witness_cap]
+        for v in best[:WITNESS_CAP]
     ]
     return RepProfile(
         mode=mode,
@@ -329,8 +325,6 @@ def rep_profile(elements, mode: str, witness_cap: int = WITNESS_CAP) -> RepProfi
         total_pairs=total,
         distinct_values=distinct,
         max_count=max_count,
-        counts=_decoded(counts, decode),
-        counts_complete=total <= FULL_MAP_PAIR_LIMIT,
         witnesses=witnesses,
         repeated=_decoded(groups, decode),
         zero_pairs=n if mode == "diff" else 0,
@@ -390,13 +384,13 @@ class EnergyReport:
     energy_lower_bound: Fraction
 
 
-def additive_energy(elements, pair_budget: int = ENERGY_PAIR_BUDGET) -> EnergyReport:
+def additive_energy(elements) -> EnergyReport:
     keys, _ = canonical_keys(elements)
     n = len(keys)
     if n < 1:
         raise ParameterError("additive_energy requires at least one element")
-    if n * n > pair_budget:
-        raise ResourceCap(f"{n}^2 pairs exceed the budget {pair_budget}")
+    if n * n > ENERGY_PAIR_BUDGET:
+        raise ResourceCap(f"{n}^2 pairs exceed the budget {ENERGY_PAIR_BUDGET}")
     _, desc = _descending(keys)
     e_plus, sumset_size = _sum_energy(desc)
     e_minus, diffset_size = _diff_energy(desc)
@@ -523,21 +517,17 @@ def collision_census(family: SetFamily, mode: str) -> CensusReport:
     star-code differences admit diagonal and agreement; the opposite
     combinations admit only swaps. Anything else is classified ANOMALY.
     """
-    if family.kind not in ("W", "Wcirc"):
-        raise ParameterError("collision_census needs a W or Wcirc family")
+    _family_mode(family)  # only the W and Wcirc families have a census
     if mode not in ("sum", "diff"):
         raise ParameterError(f"unknown mode {mode!r}")
     elems = family.union_elements()
     keys, decode = canonical_keys([e.value for e in elems])
-    _, _, groups = _pair_counts(keys, mode)
-    vectors = family.code.vectors
+    _, groups = _repeated_pairs(keys, mode)
     records = []
     predicted = anomalies = 0
     for value in sorted(groups):
         reps = tuple((elems[i], elems[j]) for i, j in sorted(groups[value]))
-        classification, pattern, part_pair = _classify_collision(
-            reps, vectors, mode, family.kind
-        )
+        classification, pattern, part_pair = _classify_collision(reps, family, mode)
         if classification == "PREDICTED":
             predicted += 1
         else:
@@ -555,12 +545,22 @@ def collision_census(family: SetFamily, mode: str) -> CensusReport:
     )
 
 
-def _classify_collision(reps, vectors, mode, kind):
-    if (kind == "W" and mode == "sum") or (kind == "Wcirc" and mode == "diff"):
-        ok, part_pair = _is_diagonal_pattern(reps, vectors, mode)
+def _family_mode(family: SetFamily) -> str:
+    """The repetition a code family is certified against: sums for the
+    hadamard-code family W, differences for its star-code twin."""
+    if family.kind == "W":
+        return "sum"
+    if family.kind == "Wcirc":
+        return "diff"
+    raise ParameterError(f"needs a W or Wcirc family, not {family.kind!r}")
+
+
+def _classify_collision(reps, family, mode):
+    if mode == _family_mode(family):
+        ok, part_pair = _is_diagonal_pattern(reps, family.code.vectors, mode)
         if ok:
             return "PREDICTED", "diagonal", part_pair
-        if kind == "Wcirc":
+        if family.kind == "Wcirc":
             ok, part_pair = _is_agreement_pattern(reps)
             if ok:
                 return "PREDICTED", "agreement", part_pair

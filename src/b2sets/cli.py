@@ -74,14 +74,10 @@ def _encode(value):
             "den": str(value.denominator),
             "approx": float(value),
         }
-    if isinstance(value, bool) or value is None:
+    if value is None or isinstance(value, (bool, float, str)):
         return value
     if isinstance(value, int):
         return value if abs(value) < 2**53 else str(value)
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        return value
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -89,8 +85,20 @@ def _encode(value):
     return str(value)
 
 
-def _report(command: str, config: dict, results: dict, verdicts: list) -> dict:
-    return {
+def _verdict(check: str, passed: bool, detail: str = "") -> dict:
+    return {"check": check, "pass": passed, "detail": detail}
+
+
+def _fields(obj, *names, **extra) -> dict:
+    """The named attributes of ``obj`` as a report dict, plus ``extra``."""
+    return {**{name: getattr(obj, name) for name in names}, **extra}
+
+
+def _finish(args, command: str, config: dict, results: dict, verdicts: list, code=None) -> int:
+    """Write the canonical report to ``--out``, render it on stdout as
+    ``--format`` asks, and return ``code``, by default pass unless a
+    verdict failed."""
+    report = {
         "schema": REPORT_SCHEMA,
         "tool": {"name": "b2sets", "version": __version__},
         "command": command,
@@ -102,29 +110,20 @@ def _report(command: str, config: dict, results: dict, verdicts: list) -> dict:
             "passed": sum(1 for v in verdicts if v["pass"]),
         },
     }
-
-
-def _emit(report: dict, args) -> None:
     text = canonical_json(report)
     if args.out:
         Path(args.out).write_text(text)
-    if args.format == "json" or not args.out:
-        sys.stdout.write(text if args.format == "json" else "")
-    if args.format == "text":
-        _print_text(report)
-
-
-def _print_text(report: dict) -> None:
-    print(f"b2sets {report['command']} report")
-    for v in report["verdicts"]:
-        state = "PASS" if v["pass"] else "FAIL"
-        print(f"  [{state}] {v['check']}: {v.get('detail', '')}")
-    if not report["verdicts"]:
-        print("  (no verdict checks; results recorded)")
-
-
-def _exit_code(verdicts: list) -> int:
-    return EXIT_PASS if all(v["pass"] for v in verdicts) else EXIT_VERDICT_FAIL
+    if args.format == "json":
+        sys.stdout.write(text)
+    else:
+        print(f"b2sets {command} report")
+        for v in verdicts:
+            print(f"  [{'PASS' if v['pass'] else 'FAIL'}] {v['check']}: {v['detail']}")
+        if not verdicts:
+            print("  (no verdict checks; results recorded)")
+    if code is None:
+        code = EXIT_PASS if all(v["pass"] for v in verdicts) else EXIT_VERDICT_FAIL
+    return code
 
 
 def _add_common(p):
@@ -146,254 +145,172 @@ def cmd_build(args) -> int:
         print(f"wrote {args.out}: {family.describe()}", file=sys.stderr)
     else:
         sys.stdout.write(text)
-    if family.warnings:
-        for w in family.warnings:
-            print(f"warning: {w}", file=sys.stderr)
+    for w in family.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     return EXIT_PASS
 
 
-def _load_set(args):
+def _load_set(args, needed_by=None):
+    """The elements named by ``--values`` or the set file, and the family
+    the file holds (None for a plain element list). ``needed_by`` names
+    what requires a family file, which is then an error to go without."""
+    family = None
     if getattr(args, "values", None):
-        return [parse_element(v) for v in args.values.split(",")], None
-    if not args.setfile:
+        elements = [parse_element(v) for v in args.values.split(",")]
+    elif not args.setfile:
         raise ParameterError("provide a set file or --values")
-    data = read_json(args.setfile)
-    if isinstance(data, dict) and data.get("schema") == FAMILY_SCHEMA:
-        family = family_from_dict(data)
-        return family.union_values(), family
-    return elements_from_dict(data), None
+    else:
+        data = read_json(args.setfile)
+        if isinstance(data, dict) and data.get("schema") == FAMILY_SCHEMA:
+            family = family_from_dict(data)
+            elements = family.union_values()
+        else:
+            elements = elements_from_dict(data)
+    if needed_by and family is None:
+        raise ParameterError(f"{needed_by} needs a set family file")
+    return elements, family
+
+
+def _witness(w) -> dict:
+    return {"value": str(w.value), "count": w.count}
 
 
 def cmd_analyze(args) -> int:
-    elements, family = _load_set(args)
-    config = {
-        "check": args.check,
-        "g": args.g,
-        "mode": args.mode,
-        "seed": args.seed,
-        "trials": args.trials,
-        "min_size": args.min_size,
-        "max_size": args.max_size,
-        "setfile": args.setfile,
-    }
+    check = args.check
+    needed_by = {"disjoint": "disjointness", "census": "census"}.get(check)
+    elements, family = _load_set(args, needed_by)
+    config = _fields(
+        args, "check", "g", "mode", "seed", "trials", "min_size", "max_size", "setfile",
+    )
     results: dict = {"n_elements": len(elements)}
     verdicts: list = []
     if family is not None:
-        results["provenance"] = {
-            "kind": family.kind,
-            "params": family.params,
-            "warnings": list(family.warnings),
-        }
-    check = args.check
+        results["provenance"] = _fields(family, "kind", "params", "warnings")
     if check in ("b2", "b2circ"):
-        fn = is_b2 if check == "b2" else is_b2_circ
-        v = fn(elements, args.g)
+        v = (is_b2 if check == "b2" else is_b2_circ)(elements, args.g)
         results["max_count"] = v.max_count
         if v.witness:
-            results["witness"] = {
-                "value": str(v.witness.value),
-                "count": v.witness.count,
-            }
-        verdicts.append(
-            {
-                "check": f"{check}[g={args.g}]",
-                "pass": v.passed,
-                "detail": f"max_count={v.max_count}",
-            }
-        )
+            results["witness"] = _witness(v.witness)
+        verdicts.append(_verdict(f"{check}[g={args.g}]", v.passed, f"max_count={v.max_count}"))
     elif check == "profile":
         prof = rep_profile(elements, args.mode)
-        results["profile"] = {
-            "mode": prof.mode,
-            "total_pairs": prof.total_pairs,
-            "distinct_values": prof.distinct_values,
-            "max_count": prof.max_count,
-            "witnesses": [
-                {"value": str(w.value), "count": w.count} for w in prof.witnesses
-            ],
-        }
+        results["profile"] = _fields(
+            prof, "mode", "total_pairs", "distinct_values", "max_count",
+            witnesses=[_witness(w) for w in prof.witnesses],
+        )
     elif check == "energy":
         rep = additive_energy(elements)
-        results["energy"] = {
-            "e_plus": rep.e_plus,
-            "e_minus": rep.e_minus,
-            "sumset_size": rep.sumset_size,
-            "diffset_size": rep.diffset_size,
-            "doubling_ratio_sum": rep.doubling_ratio_sum,
-            "doubling_ratio_diff": rep.doubling_ratio_diff,
-            "energy_lower_bound": rep.energy_lower_bound,
-        }
-        verdicts.append(
-            {
-                "check": "energy-identity",
-                "pass": rep.e_plus == rep.e_minus,
-                "detail": f"E+={rep.e_plus}",
-            }
+        results["energy"] = _fields(
+            rep, "e_plus", "e_minus", "sumset_size", "diffset_size",
+            "doubling_ratio_sum", "doubling_ratio_diff", "energy_lower_bound",
         )
+        verdicts.append(_verdict("energy-identity", rep.e_plus == rep.e_minus, f"E+={rep.e_plus}"))
     elif check == "disjoint":
-        if family is None:
-            raise ParameterError("disjointness needs a set family file")
         rep = family_sumset_disjointness(family)
         results["pair_count"] = rep.pair_count
         if not rep.passed:
             results["witness"] = {
                 "value": str(rep.witness_value),
-                "pairs": list(map(list, rep.witness_pairs)),
+                "pairs": rep.witness_pairs,
             }
-        verdicts.append(
-            {"check": "sumset-disjointness", "pass": rep.passed, "detail": ""}
-        )
+        verdicts.append(_verdict("sumset-disjointness", rep.passed))
     elif check == "census":
-        if family is None:
-            raise ParameterError("census needs a set family file")
         rep = collision_census(family, args.mode)
-        results["census"] = {
-            "mode": rep.mode,
-            "collisions": len(rep.records),
-            "predicted": rep.predicted,
-            "anomalies": rep.anomalies,
-            "patterns": sorted(
-                {r.pattern for r in rep.records if r.classification == "PREDICTED"}
-            ),
-        }
+        patterns = {r.pattern for r in rep.records if r.classification == "PREDICTED"}
+        results["census"] = _fields(
+            rep, "mode", "predicted", "anomalies",
+            collisions=len(rep.records), patterns=sorted(patterns),
+        )
         verdicts.append(
-            {
-                "check": f"census[{args.mode}]",
-                "pass": rep.anomalies == 0,
-                "detail": f"{len(rep.records)} collisions, {rep.anomalies} anomalies",
-            }
+            _verdict(
+                f"census[{args.mode}]",
+                rep.anomalies == 0,
+                f"{len(rep.records)} collisions, {rep.anomalies} anomalies",
+            )
         )
     elif check == "audit":
-        params = AuditParams(
-            min_size=args.min_size,
-            trials=args.trials,
-            seed=args.seed,
-            max_size=args.max_size,
-        )
+        params = AuditParams(**_fields(args, "min_size", "trials", "seed", "max_size"))
         rep = subset_doubling_audit(elements, args.audit_mode, params)
-        results["audit"] = {
-            "mode": rep.mode,
-            "subsets_examined": rep.subsets_examined,
-            "min_sum_ratio": rep.min_sum_ratio,
-            "min_diff_ratio": rep.min_diff_ratio,
-        }
+        results["audit"] = _fields(
+            rep, "mode", "subsets_examined", "min_sum_ratio", "min_diff_ratio"
+        )
     else:
         raise ParameterError(f"unknown check {check!r}")
-    report = _report("analyze", config, results, verdicts)
-    _emit(report, args)
-    return _exit_code(verdicts)
+    return _finish(args, "analyze", config, results, verdicts)
+
+
+def _counting_sketch(cert, parts: int, g: int) -> str:
+    k = cert.params["k"]
+    if not cert.applicable:
+        return (
+            f"not applicable (t >= k): the {k} elements of a lattice tuple can "
+            f"lie in {parts} distinct parts, so no same-part pair is forced"
+        )
+    word = "sum" if cert.kind == "sum" else "difference"
+    conclusion = (
+        f"{cert.lhs} > {cert.capacity} rules the decomposition out"
+        if cert.verdict
+        else f"{cert.lhs} <= {cert.capacity} yields no conclusion"
+    )
+    return (
+        f"each of the {cert.lhs} lattice tuples forces one same-part pair among "
+        f"its {k} elements, giving a repeated {word} value; only "
+        f"{cert.collision_value_count} such values exist and each of the {parts} "
+        f"parts can repeat a value at most {g} times, so at most {cert.capacity} "
+        f"tuples can be absorbed; {conclusion}"
+    )
 
 
 def cmd_certify(args) -> int:
-    elements, family = _load_set(args)
-    if family is None:
-        raise ParameterError("certify needs a set family file")
-    config = {
-        "g": args.g,
-        "parts": args.parts,
-        "delta_prime": args.delta_prime,
-        "setfile": args.setfile,
-    }
-    verdicts: list = []
+    _elements, family = _load_set(args, "certify")
+    config = _fields(args, "g", "parts", "delta_prime", "setfile")
+    if args.delta_prime is None and args.parts is None:
+        raise ParameterError("--parts is required")
     if args.delta_prime is not None:
-        cert = no_large_bsubset_certificate(
-            family, args.g, Fraction(args.delta_prime)
+        cert = no_large_bsubset_certificate(family, args.g, Fraction(args.delta_prime))
+        results = _fields(
+            cert, "delta_prime", "gamma", "threshold", "sum_branch", "diff_branch",
+            certificate="no-large-subset",
         )
-        results = {
-            "certificate": "no-large-subset",
-            "delta_prime": cert.delta_prime,
-            "gamma": cert.gamma,
-            "threshold": cert.threshold,
-            "sum_branch": cert.sum_branch,
-            "diff_branch": cert.diff_branch,
-        }
-        verdicts.append(
-            {
-                "check": f"no-large-subset[g={args.g}, delta'={args.delta_prime}]",
-                "pass": cert.verdict,
-                "detail": "both branches exceed capacity" if cert.verdict else "capacity not exceeded",
-            }
+        verdict = _verdict(
+            f"no-large-subset[g={args.g}, delta'={args.delta_prime}]",
+            cert.verdict,
+            "both branches exceed capacity" if cert.verdict else "capacity not exceeded",
         )
     elif family.kind == "product":
-        if args.parts is None:
-            raise ParameterError("--parts is required")
         cert = mixed_certificate(family, args.g, args.parts)
-        results = {
-            "certificate": "mixed-union",
-            "applicable": cert.applicable,
-            "threshold": cert.threshold,
-            "sum_branch": cert.sum_branch,
-            "diff_branch": cert.diff_branch,
-        }
-        verdicts.append(
-            {
-                "check": f"mixed-certificate[g={args.g}, t={args.parts}]",
-                "pass": cert.verdict,
-                "detail": f"applicable={cert.applicable}",
-            }
+        results = _fields(
+            cert, "applicable", "threshold", "sum_branch", "diff_branch",
+            certificate="mixed-union",
+        )
+        verdict = _verdict(
+            f"mixed-certificate[g={args.g}, t={args.parts}]",
+            cert.verdict,
+            f"applicable={cert.applicable}",
         )
     else:
-        if args.parts is None:
-            raise ParameterError("--parts is required")
         cert = counting_certificate(family, args.g, args.parts)
-        word = "sums" if cert.kind == "sum" else "differences"
-        results = {
-            "certificate": "counting",
-            "kind": cert.kind,
-            "lhs": cert.lhs,
-            "collision_value_count": cert.collision_value_count,
-            "capacity": cert.capacity,
-            "formula_lower_bound": cert.formula_lower_bound,
-            "per_pair_counts": {
-                f"{i},{j}": c for (i, j), c in cert.per_pair_counts.items()
-            },
-            "sketch": (
-                f"each of the {cert.lhs} lattice tuples forces one same-part "
-                f"pair among its {cert.params['k']} elements, giving a repeated "
-                f"{word[:-1]} value; only {cert.collision_value_count} such "
-                f"values exist and each of the {args.parts} parts can repeat a "
-                f"value at most {args.g} times, so at most {cert.capacity} "
-                f"tuples can be absorbed"
-                + (
-                    f"; {cert.lhs} > {cert.capacity} rules the decomposition out"
-                    if cert.verdict
-                    else f"; {cert.lhs} <= {cert.capacity} yields no conclusion"
-                )
-                if cert.applicable
-                else f"not applicable (t >= k): the {cert.params['k']} elements "
-                f"of a lattice tuple can lie in {args.parts} distinct parts, so no "
-                f"same-part pair is forced"
-            ),
-        }
-        verdicts.append(
-            {
-                "check": f"counting-certificate[g={args.g}, t={args.parts}]",
-                "pass": cert.verdict,
-                "detail": f"lhs={cert.lhs} capacity={cert.capacity}"
-                + ("" if cert.applicable else "; not applicable (t >= k)"),
-            }
+        results = _fields(
+            cert, "kind", "lhs", "collision_value_count", "capacity", "formula_lower_bound",
+            certificate="counting",
+            per_pair_counts={f"{i},{j}": c for (i, j), c in cert.per_pair_counts.items()},
+            sketch=_counting_sketch(cert, args.parts, args.g),
         )
-    report = _report("certify", config, results, verdicts)
-    _emit(report, args)
-    return _exit_code(verdicts)
+        verdict = _verdict(
+            f"counting-certificate[g={args.g}, t={args.parts}]",
+            cert.verdict,
+            f"lhs={cert.lhs} capacity={cert.capacity}"
+            + ("" if cert.applicable else "; not applicable (t >= k)"),
+        )
+    return _finish(args, "certify", config, results, [verdict])
 
 
 def cmd_decompose(args) -> int:
     elements, _family = _load_set(args)
-    config = {
-        "g": args.g,
-        "kind": args.kind,
-        "max_parts": args.max_parts,
-        "budget": args.budget,
-        "setfile": args.setfile,
-        "values": args.values,
-    }
+    config = _fields(args, "g", "kind", "max_parts", "budget", "setfile", "values")
     if args.greedy:
         deco = greedy_union(elements, args.g, args.kind)
-        results = {"greedy_parts": deco.parts_used}
-        report = _report("decompose", config, results, [])
-        _emit(report, args)
-        return EXIT_PASS
+        return _finish(args, "decompose", config, {"greedy_parts": deco.parts_used}, [])
     rep = exact_min_union(
         elements, args.g, args.kind, max_parts=args.max_parts, budget=args.budget
     )
@@ -409,57 +326,37 @@ def cmd_decompose(args) -> int:
             "only be opened as the next unused index",
         },
     }
-    report = _report("decompose", config, results, [])
-    _emit(report, args)
-    if any(r.status == "TIMEOUT" for r in rep.results.values()):
-        return EXIT_TIMEOUT
-    return EXIT_PASS
+    timed_out = any(r.status == "TIMEOUT" for r in rep.results.values())
+    code = EXIT_TIMEOUT if timed_out else EXIT_PASS
+    return _finish(args, "decompose", config, results, [], code)
 
 
 def cmd_embed(args) -> int:
     elements, _family = _load_set(args)
-    config = {"setfile": args.setfile, "threshold": args.threshold}
+    config = _fields(args, "setfile", "threshold")
     emb = f2_embed(elements, verify_threshold=args.threshold)
-    results = {
-        "base": emb.base,
-        "dimension": len(emb.points[0]),
-        "n_points": len(emb.points),
-        "verification": emb.verification,
-        "image": [str(v) for v in emb.image],
-    }
-    verdicts = [
-        {
-            "check": "structure-preserving-embedding",
-            "pass": True,
-            "detail": emb.verification,
-        }
-    ]
-    report = _report("embed", config, results, verdicts)
-    _emit(report, args)
-    return EXIT_PASS
+    results = _fields(
+        emb, "base", "verification",
+        dimension=len(emb.points[0]),
+        n_points=len(emb.points),
+        image=[str(v) for v in emb.image],
+    )
+    verdict = _verdict("structure-preserving-embedding", True, emb.verification)
+    return _finish(args, "embed", config, results, [verdict])
 
 
 def cmd_meyer(args) -> int:
     family = build_meyer(args.nmax)
-    config = {"nmax": args.nmax, "trials": args.trials, "seed": args.seed}
+    config = _fields(args, "nmax", "trials", "seed")
     ext = meyer_extract(family, seed=args.seed, trials=args.trials)
-    results = {
-        "n_elements": ext.n_elements,
-        "mean_ratio": ext.mean_ratio,
-        "best_size": ext.best_size,
-        "best_upper": list(ext.best_upper),
-        "rng": "random.Random(seed), one bit per index per trial",
-    }
-    verdicts = [
-        {
-            "check": "extracted-subsets-B2sum[g=2]",
-            "pass": ext.all_pass,
-            "detail": f"mean={float(ext.mean_ratio):.4f}",
-        }
-    ]
-    report = _report("meyer", config, results, verdicts)
-    _emit(report, args)
-    return _exit_code(verdicts)
+    results = _fields(
+        ext, "n_elements", "mean_ratio", "best_size", "best_upper",
+        rng="random.Random(seed), one bit per index per trial",
+    )
+    verdict = _verdict(
+        "extracted-subsets-B2sum[g=2]", ext.all_pass, f"mean={float(ext.mean_ratio):.4f}"
+    )
+    return _finish(args, "meyer", config, results, [verdict])
 
 
 def build_parser() -> argparse.ArgumentParser:

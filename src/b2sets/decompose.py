@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add, sub
 
-from .analyze import canonical_keys, is_b2, is_b2_circ, rep_profile
+from .analyze import _family_mode, canonical_keys, is_b2, is_b2_circ, rep_profile
 from .construct import SetFamily
 from .digitnum import as_int
 from .errors import InternalVerificationFailure, ParameterError
@@ -243,16 +243,6 @@ def greedy_union(elements, g: int, kind: str) -> Decomposition:
 
 
 # -- collision value enumeration ----------------------------------------------
-
-def _family_mode(family: SetFamily) -> str:
-    """The repetition a code family is certified against: sums for the
-    hadamard-code family W, differences for its star-code twin."""
-    if family.kind == "W":
-        return "sum"
-    if family.kind == "Wcirc":
-        return "diff"
-    raise ParameterError(f"needs a W or Wcirc family, not {family.kind!r}")
-
 
 def pair_collision_values(family: SetFamily) -> dict:
     """For each part pair i < j, the exact set of values a + b (W) or
@@ -520,7 +510,7 @@ class MeyerExtraction:
     sizes: list[int]
 
 
-def meyer_extract(family: SetFamily, seed: int, trials: int, g: int = 2) -> MeyerExtraction:
+def meyer_extract(family: SetFamily, seed: int, trials: int) -> MeyerExtraction:
     """Random two-coloring extraction from the difference family.
 
     Each trial assigns every index 0..n_max to the upper or lower class
@@ -548,7 +538,7 @@ def meyer_extract(family: SetFamily, seed: int, trials: int, g: int = 2) -> Meye
         sizes.append(len(chosen))
         total_size += len(chosen)
         if chosen:
-            verdict = is_b2([e.value for e in chosen], g)
+            verdict = is_b2([e.value for e in chosen], 2)
             if not verdict.passed:
                 all_pass = False
         if best is None or len(chosen) > best[0]:

@@ -44,6 +44,20 @@ def diff_counts_ordered(values):
     return out
 
 
+def hadamard_pairs_ok(vectors):
+    """Exhaustive pair check of a sign-vector family: the pairwise sums
+    v_i + v_j, i <= j, are distinct, and each off-diagonal sum is zero in
+    more than half its coordinates. O(k^2 * d)."""
+    seen = set()
+    for i, a in enumerate(vectors):
+        for b in vectors[i:]:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in seen or (a is not b and 2 * s.count(0) <= len(s)):
+                return False
+            seen.add(s)
+    return True
+
+
 def brute_is_b2(values, g):
     counts = sum_counts_unordered(values)
     return all(c <= g for c in counts.values())

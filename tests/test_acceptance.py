@@ -94,7 +94,7 @@ def test_criterion_01_code_invariants():
     with _Timer() as t:
         ok = True
         for k in range(1, 65):
-            cf = hadamard_code_vectors(k)  # re-checks its invariants internally
+            cf = hadamard_code_vectors(k)  # re-checks the Walsh characters internally
             seen = set()
             for i in range(k):
                 for j in range(i, k):

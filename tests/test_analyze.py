@@ -22,7 +22,7 @@ from b2sets.analyze import (
     rep_profile,
     subset_doubling_audit,
 )
-from b2sets.construct import Part, SetFamily, build_w, build_w_circ
+from b2sets.construct import Part, SetFamily, build_product, build_w, build_w_circ
 from b2sets.errors import ParameterError, ResourceCap
 
 from oracles import (
@@ -38,27 +38,52 @@ from oracles import (
 )
 
 
+def _oracle_counts(elements, mode):
+    """Brute-force counts in the profile's convention: unordered sums, or
+    ordered differences in positive orientation."""
+    if mode == "sum":
+        return sum_counts_unordered(elements)
+    zero = tuple(0 for _ in elements[0]) if isinstance(elements[0], tuple) else 0
+    return {v: c for v, c in diff_counts_ordered(elements).items() if v > zero}
+
+
+def _assert_matches_oracle(prof, elements):
+    oracle = _oracle_counts(elements, prof.mode)
+    repeated = {v: c for v, c in oracle.items() if c >= 2}
+    assert {v: len(pairs) for v, pairs in prof.repeated.items()} == repeated
+    assert prof.distinct_values == len(oracle)
+    assert prof.max_count == max(oracle.values(), default=0)
+
+
 class TestRepProfile:
     def test_sum_example(self):
         prof = rep_profile([0, 1, 2, 3], "sum")
         # all 10 unordered pairs enumerated by hand
         assert prof.total_pairs == 10
-        assert prof.counts[3] == 2  # {0,3}, {1,2}
-        assert prof.counts[2] == 2  # {0,2}, {1,1}
+        assert {v: sorted(pairs) for v, pairs in prof.repeated.items()} == {
+            2: [(0, 2), (1, 1)],
+            3: [(0, 3), (1, 2)],
+            4: [(1, 3), (2, 2)],
+        }
+        assert prof.distinct_values == 7
         assert prof.max_count == 2
+        _assert_matches_oracle(prof, [0, 1, 2, 3])
 
     def test_sidon_sum(self):
         prof = rep_profile([1, 2, 5, 11], "sum")
         assert prof.max_count == 1
         assert prof.distinct_values == 10
-        assert set(prof.counts) == {3, 6, 12, 7, 13, 16, 2, 4, 10, 22}
+        assert prof.repeated == {}
+        _assert_matches_oracle(prof, [1, 2, 5, 11])
 
     def test_diff_example(self):
         prof = rep_profile([0, 1, 2], "diff")
-        assert prof.counts[1] == 2  # (1,0), (2,1); the -1 class mirrors it
-        assert prof.counts[2] == 1
+        # 1 = 1-0 = 2-1 (the -1 class mirrors it); 2 = 2-0 occurs once
+        assert {v: sorted(pairs) for v, pairs in prof.repeated.items()} == {1: [(1, 0), (2, 1)]}
+        assert prof.distinct_values == 2
         assert prof.max_count == 2
         assert prof.zero_pairs == 3
+        _assert_matches_oracle(prof, [0, 1, 2])
 
     def test_diff_witness_pairs(self):
         prof = rep_profile([0, 1, 2], "diff")
@@ -70,14 +95,8 @@ class TestRepProfile:
         rng = random.Random(3)
         for _ in range(20):
             vals = list({rng.randint(-40, 40) for _ in range(rng.randint(1, 25))})
-            prof = rep_profile(vals, "sum")
-            oracle = sum_counts_unordered(vals)
-            assert prof.counts == oracle
-            prof = rep_profile(vals, "diff")
-            oracle = diff_counts_ordered(vals)
-            for v, c in prof.counts.items():
-                assert oracle[v] == c and oracle[-v] == c
-            assert prof.max_count == max(oracle.values(), default=0) or len(vals) == 1
+            for mode in ("sum", "diff"):
+                _assert_matches_oracle(rep_profile(vals, mode), vals)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ParameterError):
@@ -147,13 +166,10 @@ class TestCountingPaths:
         elements = make(self.N, seed=17)
         surrogate = rep_profile(elements, mode)
         assert surrogate.total_pairs > analyze.FULL_MAP_PAIR_LIMIT
-        assert not surrogate.counts_complete
         monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", surrogate.total_pairs)
         full = rep_profile(elements, mode)
-        assert full.counts_complete
         assert full.max_count == surrogate.max_count > 1
         assert full.distinct_values == surrogate.distinct_values
-        assert {v: c for v, c in full.counts.items() if c >= 2} == surrogate.counts
         assert full.witnesses == surrogate.witnesses
         assert list(full.repeated.items()) == list(surrogate.repeated.items())
 
@@ -175,16 +191,13 @@ class TestCountingPaths:
         elements = RESIDUE_TWINS[name]
         full = rep_profile(elements, mode)
         energy = additive_energy(elements)
-        assert full.counts_complete
-        assert len(set(map(_residue, full.counts))) < len(full.counts)
+        values = _oracle_counts(elements, mode)
+        assert len(set(map(_residue, values))) < len(values)
         monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", 0)
         residue = rep_profile(elements, mode)
-        assert not residue.counts_complete
+        _assert_matches_oracle(residue, elements)
         assert residue.max_count == full.max_count
         assert residue.distinct_values == full.distinct_values
-        assert list(residue.counts.items()) == [
-            (v, c) for v, c in full.counts.items() if c >= 2
-        ]
         assert residue.witnesses == full.witnesses
         assert list(residue.repeated.items()) == list(full.repeated.items())
         assert additive_energy(elements) == energy
@@ -220,7 +233,7 @@ class TestCountingPaths:
         family = build_w(3, 12)
         census = collision_census(family, mode)
         prof = rep_profile(family.union_values(), mode)
-        repeated = {v: c for v, c in prof.counts.items() if c >= 2}
+        repeated = {v: len(pairs) for v, pairs in prof.repeated.items()}
         assert {r.value: len(r.reps) for r in census.records} == repeated
         assert repeated
 
@@ -284,9 +297,10 @@ class TestEnergy:
         assert rep.e_plus == brute_energy_plus(pts)
         assert rep.e_minus == rep.e_plus
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(analyze, "ENERGY_PAIR_BUDGET", 50)
         with pytest.raises(ResourceCap):
-            additive_energy(list(range(100)), pair_budget=50)
+            additive_energy(list(range(100)))
 
     def test_fourth_moment_caps(self):
         # bounded repetition caps the ordered quadruple count: a set whose
@@ -429,3 +443,18 @@ class TestAudit:
         res = subset_doubling_audit(vals, "exhaustive", AuditParams(min_size=4))
         assert res.min_sum_ratio >= Fraction(1, 3)
         assert res.min_diff_ratio >= Fraction(1, 3)
+
+    @pytest.mark.parametrize(
+        "elements, mode, params",
+        [
+            (build_w(3, 30).union_values()[:12], "exhaustive", AuditParams(min_size=4)),
+            (build_product(3, 6).union_values(), "sample", AuditParams(trials=300, seed=5)),
+        ],
+        ids=["W30-exhaustive", "product36-sample"],
+    )
+    def test_table_and_int_scans_agree(self, elements, mode, params, monkeypatch):
+        # up to AUDIT_TABLE_LIMIT elements the audit scans interned pair
+        # ids; with the limit at 0 it scans the int keys themselves
+        tables = subset_doubling_audit(elements, mode, params)
+        monkeypatch.setattr(analyze, "AUDIT_TABLE_LIMIT", 0)
+        assert subset_doubling_audit(elements, mode, params) == tables

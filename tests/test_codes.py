@@ -13,7 +13,7 @@ from b2sets.codes import (
     walsh_rows,
 )
 from b2sets.errors import InternalVerificationFailure, ParameterError
-from oracles import sampled_minors
+from oracles import hadamard_pairs_ok, sampled_minors
 
 
 class TestWalsh:
@@ -76,6 +76,21 @@ class TestHadamardFamily:
                 sums[s] = (i, j)
                 if i != j:
                     assert 2 * sum(1 for x in s if x == 0) > cf.d
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 9, 16, 17, 64, 128])
+    def test_theorem_check_and_pair_oracle_agree(self, k):
+        # the build checks that each vector is its Walsh character; the
+        # exhaustive pair check confirms the invariants the theorem gives
+        cf = hadamard_code_vectors(k)
+        codes._verify_hadamard_family(cf.vectors, cf.d)
+        assert hadamard_pairs_ok(cf.vectors)
+
+    def test_repeated_row_is_internal(self, monkeypatch):
+        walsh = codes.walsh_rows
+        monkeypatch.setattr(codes, "walsh_rows", lambda j: (walsh(j)[0],) + walsh(j)[:-1])
+        assert not hadamard_pairs_ok(tuple(r[1:] for r in codes.walsh_rows(2)))
+        with pytest.raises(InternalVerificationFailure, match="vector 1"):
+            hadamard_code_vectors(4)
 
 
 class TestStarFamily:

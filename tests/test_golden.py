@@ -10,7 +10,9 @@ Commands run from a temporary directory with relative file names, so the
 
 Reports of ``build`` and the library-level records are large, so they
 are pinned by sha256 digest in ``digests.json``; every other report is
-stored as a file and compared byte for byte.
+stored as a file and compared byte for byte. Each command's exit code is
+pinned too, and so is what ``--format text`` and ``--format json`` print
+to stdout.
 """
 
 import contextlib
@@ -59,6 +61,32 @@ COMMANDS = {
     "embed_powers": ["embed", "--values", "5,25,125,625"],
     "profile_sum_p36": ["analyze", "p36.json", "--check", "profile", "--mode", "sum"],
     "profile_diff_p36": ["analyze", "p36.json", "--check", "profile", "--mode", "diff"],
+    "disjoint_w30": ["analyze", "w30.json", "--check", "disjoint"],
+    "census_diff_wc14": ["analyze", "wc14.json", "--check", "census", "--mode", "diff"],
+    "b2_fail_values": ["analyze", "--values", "0,1,2,3", "--check", "b2", "--g", "1"],
+    "decompose_greedy_powers": ["decompose", "--values", SIGNED_POWERS, "--g", "1", "--kind", "sum", "--greedy"],
+    "decompose_timeout": ["decompose", "--values", ",".join(map(str, range(14))), "--g", "1",
+                          "--kind", "sum", "--max-parts", "2", "--budget", "5"],
+}
+
+# every command not listed here exits 0
+EXIT_CODES = {
+    "certify_wc14": 1,
+    "certify_w2_10_t2": 1,
+    "certify_mixed_p519": 1,
+    "certify_nolarge_p519": 1,
+    "b2_fail_values": 1,
+    "decompose_timeout": 4,
+}
+
+# stdout of a command run with the given extra arguments, pinned in
+# ``stdout_<name>.txt``
+STDOUT = {
+    "text_b2_fail_values": ("b2_fail_values", ["--format", "text"]),
+    "text_decompose_greedy_powers": ("decompose_greedy_powers", ["--format", "text"]),
+    "text_out_disjoint_w30": ("disjoint_w30", ["--format", "text", "--out", "report.json"]),
+    "json_b2_fail_values": ("b2_fail_values", ["--format", "json"]),
+    "json_out_embed_powers": ("embed_powers", ["--format", "json", "--out", "report.json"]),
 }
 
 
@@ -106,19 +134,36 @@ def _profile_witnesses(family, mode) -> bytes:
     return json.dumps(witnesses).encode()
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_cli_report_matches_golden(name, tmp_path, monkeypatch):
+def _setup(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in SETUP:
             assert cli_main(argv) == 0
-        cli_main(COMMANDS[name] + ["--out", "report.json"])
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_report_matches_golden(name, tmp_path, monkeypatch):
+    _setup(tmp_path, monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(COMMANDS[name] + ["--out", "report.json"])
+    assert code == EXIT_CODES.get(name, 0)
     got = (tmp_path / "report.json").read_bytes()
     frozen = GOLDEN / f"{name}.json"
     if frozen.exists():
         assert got == frozen.read_bytes()
     else:
         assert _sha256(got) == _digests()[name]
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT))
+def test_cli_stdout_matches_golden(name, tmp_path, monkeypatch):
+    command, extra = STDOUT[name]
+    _setup(tmp_path, monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(COMMANDS[command] + extra)
+    assert code == EXIT_CODES.get(command, 0)
+    assert out.getvalue() == (GOLDEN / f"stdout_{name}.txt").read_text()
 
 
 @pytest.mark.parametrize("mode", ["sum", "diff"])

@@ -165,6 +165,9 @@ FORGED_RECIPES = {
     # empty lattice stops them
     "W-k200": (build_w(3, 30), "k", 200),
     "Wcirc-k400": (build_w_circ(5, 35), "k", 400),
+    # W(3,60) lists 1,710 elements: its 1,710 code vectors of length 2,047
+    # are checked against their theorem in O(k*d), not pair by pair
+    "W-k1710": (build_w(3, 60), "k", 1710),
     "meyer-n_max": (build_meyer(4), "n_max", 10**6),
     "proposition-k": (build_proposition(2, 2), "k", 40),
     "product-n": (build_product(3, 6), "n", 10**4),
