@@ -55,7 +55,6 @@ FULL_MAP_PAIR_LIMIT = 200_000
 RESIDUE_PRIME = 2**61 - 1
 WITNESS_CAP = 10
 EXHAUSTIVE_AUDIT_LIMIT = 20
-AUDIT_TABLE_LIMIT = 3000
 
 
 # -- canonical keys --------------------------------------------------------
@@ -686,10 +685,19 @@ class AuditResult:
 def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResult:
     """Minimum |A'+A'| / |A'|^2 and |A'-A'| / |A'|^2 over subsets A'.
 
-    ``exhaustive`` iterates every subset of size >= min_size (|A| <= 20);
-    ``sample`` draws ``trials`` subsets of uniform size in
-    [min_size, max_size] from a seeded generator. Ratios are exact
-    Fractions; |A'-A'| includes zero.
+    ``exhaustive`` examines every subset of size >= min_size (|A| <= 20)
+    by a depth-first walk that adds elements in increasing index order
+    (``_exhaustive_minima``): each subset costs O(1) bitset operations on
+    its parent's sumset and difference set, and the walk holds O(n) state
+    beside per-element tables of O(n * 2^(n/2)) ints. ``sample`` draws
+    ``trials`` subsets of uniform size in [min_size, max_size] from a
+    seeded generator and counts each one's sums and positive differences
+    from its sorted int keys, so memory stays O(|A'|^2) per draw.
+
+    Ratios are exact Fractions; |A'-A'| includes zero. The argmin is the
+    first minimum in examination order: in mask order (bit i for element
+    i) when exhaustive, so a tie goes to the smaller mask, and in draw
+    order when sampled.
     """
     keys, _ = canonical_keys(elements)
     n = len(keys)
@@ -697,59 +705,33 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
         raise ParameterError("min_size must be >= 2")
     if n < params.min_size:
         raise ParameterError("fewer elements than min_size")
-    if mode == "exhaustive" and n > EXHAUSTIVE_AUDIT_LIMIT:
-        raise ResourceCap(
-            f"exhaustive audit limited to {EXHAUSTIVE_AUDIT_LIMIT} elements"
-        )
-
-    table = _pair_id_tables(keys) if n <= AUDIT_TABLE_LIMIT else None
-
-    best_sum = None
-    best_diff = None
-    argmin_sum = argmin_diff = ()
-    examined = 0
-
-    def consider(indices):
-        nonlocal best_sum, best_diff, argmin_sum, argmin_diff, examined
-        examined += 1
-        s = len(indices)
-        if table is not None:
-            sums = set()
-            diffs = set()
-            sum_ids, diff_ids = table
-            for ai in range(s):
-                ia = indices[ai]
-                row_s = sum_ids[ia]
-                row_d = diff_ids[ia]
-                sums.add(row_s[ia])
-                for bi in range(ai + 1, s):
-                    ib = indices[bi]
-                    sums.add(row_s[ib])
-                    diffs.add(row_d[ib])
-        else:
-            desc = sorted((keys[i] for i in indices), reverse=True)
-            sums = set(_pair_values(desc, "sum"))
-            diffs = set(_pair_values(desc, "diff"))
-        rs = Fraction(len(sums), s * s)
-        rd = Fraction(1 + 2 * len(diffs), s * s)
-        if best_sum is None or rs < best_sum:
-            best_sum, argmin_sum = rs, tuple(indices)
-        if best_diff is None or rd < best_diff:
-            best_diff, argmin_diff = rd, tuple(indices)
 
     if mode == "exhaustive":
-        for mask in range(1, 1 << n):
-            if mask.bit_count() < params.min_size:
-                continue
-            consider([i for i in range(n) if mask >> i & 1])
+        if n > EXHAUSTIVE_AUDIT_LIMIT:
+            raise ResourceCap(
+                f"exhaustive audit limited to {EXHAUSTIVE_AUDIT_LIMIT} elements"
+            )
+        examined, (best_sum, argmin_sum), (best_diff, argmin_diff) = _exhaustive_minima(
+            keys, params.min_size
+        )
     elif mode == "sample":
         hi = min(params.max_size if params.max_size is not None else n, n)
         if hi < params.min_size:
             raise ParameterError("max_size below min_size")
+        examined = params.trials
+        best_sum = best_diff = None
+        argmin_sum = argmin_diff = ()
         rng = random.Random(params.seed)
         for _ in range(params.trials):
             s = rng.randint(params.min_size, hi)
-            consider(sorted(rng.sample(range(n), s)))
+            indices = sorted(rng.sample(range(n), s))
+            desc = sorted((keys[i] for i in indices), reverse=True)
+            rs = Fraction(len(set(_pair_values(desc, "sum"))), s * s)
+            rd = Fraction(1 + 2 * len(set(_pair_values(desc, "diff"))), s * s)
+            if best_sum is None or rs < best_sum:
+                best_sum, argmin_sum = rs, indices
+            if best_diff is None or rd < best_diff:
+                best_diff, argmin_diff = rd, indices
     else:
         raise ParameterError(f"unknown audit mode {mode!r}")
 
@@ -766,10 +748,95 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
     )
 
 
+def _exhaustive_minima(keys, min_size):
+    """The exhaustive audit: the number of subsets examined, and (ratio,
+    index list) of the first minimum in mask order for sums and for
+    differences.
+
+    A subset's sums and positive differences are Python-int bitsets over
+    the pair ids of ``_pair_id_tables``. The walk adds element x to a set
+    S of smaller indices, so S + {x} gains the bit of x+x and the cross
+    bits of x with S, read from two tables indexed by the low and the
+    high half of S's mask: lo[m][x] holds the bit of x+x and the bits of
+    x with the elements of m, hi[m][x] those of x with the elements of
+    m << half. Then |S+S| is a popcount and |S-S| is 1 + 2 * popcount.
+    At a fixed size the ratio falls with the popcount, so the walk keeps,
+    per size, the least popcount and its smallest mask; the sizes are
+    compared by cross-multiplying at the end, ties again to the smaller
+    mask.
+    """
+    n = len(keys)
+    half = n // 2
+    low = (1 << half) - 1
+    sum_ids, diff_ids = _pair_id_tables(keys)
+    sum_lo = _cross_bits(sum_ids, 0, half, self_bits=True)
+    sum_hi = _cross_bits(sum_ids, half, n - half, self_bits=False)
+    diff_lo = _cross_bits(diff_ids, 0, half, self_bits=False)
+    diff_hi = _cross_bits(diff_ids, half, n - half, self_bits=False)
+    # best[s] = [least sum popcount, its mask, least diff popcount, its mask]
+    best = [[n * n, 0, n * n, 0] for _ in range(n + 1)]
+    examined = 0
+
+    def walk(start, mask, size, sums, diffs):
+        nonlocal examined
+        size += 1
+        s_lo, s_hi = sum_lo[mask & low], sum_hi[mask >> half]
+        d_lo, d_hi = diff_lo[mask & low], diff_hi[mask >> half]
+        scored = size >= min_size
+        if scored:
+            examined += n - start
+            sc, sm, dc, dm = best[size]
+        for x in range(start, n):
+            grown = mask | 1 << x
+            s_bits = sums | s_lo[x] | s_hi[x]
+            d_bits = diffs | d_lo[x] | d_hi[x]
+            if scored:
+                c = s_bits.bit_count()
+                if c < sc or c == sc and grown < sm:
+                    sc, sm = c, grown
+                c = d_bits.bit_count()
+                if c < dc or c == dc and grown < dm:
+                    dc, dm = c, grown
+            if x + 1 < n:
+                walk(x + 1, grown, size, s_bits, d_bits)
+        if scored:
+            best[size] = [sc, sm, dc, dm]
+
+    walk(0, 0, 0, 0, 0)
+    sizes = range(min_size, n + 1)
+    sum_min = _first_minimum((best[s][0], s * s, best[s][1]) for s in sizes)
+    diff_min = _first_minimum((1 + 2 * best[s][2], s * s, best[s][3]) for s in sizes)
+    return examined, sum_min, diff_min
+
+
+def _first_minimum(candidates):
+    """(Fraction, index list) of the least num/den among (num, den, mask)
+    candidates, the smaller mask on a tie."""
+    num, den, mask = next(candidates)
+    for c_num, c_den, c_mask in candidates:
+        lhs, rhs = c_num * den, num * c_den
+        if lhs < rhs or lhs == rhs and c_mask < mask:
+            num, den, mask = c_num, c_den, c_mask
+    return Fraction(num, den), [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _cross_bits(ids, offset, width, self_bits):
+    """2^width rows of pair-id bits: entry [m][x] ORs the bits of the
+    pairs of x with each element offset + i, i in m, plus the bit of x+x
+    when ``self_bits``."""
+    n = len(ids)
+    rows = [[1 << ids[x][x] if self_bits else 0 for x in range(n)]]
+    for m in range(1, 1 << width):
+        # m is m & (m - 1) plus its lowest bit, element offset + i
+        col = offset + (m & -m).bit_length() - 1
+        rows.append([b | 1 << ids[x][col] for x, b in enumerate(rows[m & (m - 1)])])
+    return rows
+
+
 def _pair_id_tables(keys):
     """Intern pair sums and positive differences as small integer ids, in
-    one symmetric table per mode, so repeated subset scans avoid
-    big-integer arithmetic."""
+    one symmetric n x n table per mode. Used only by the exhaustive audit,
+    where n <= EXHAUSTIVE_AUDIT_LIMIT keeps both tables tiny."""
     n = len(keys)
     order, desc = _descending(keys)
     tables = []

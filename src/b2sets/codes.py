@@ -80,6 +80,12 @@ def _verify_hadamard_family(vectors, d):
             raise InternalVerificationFailure(f"vector {i} is not the Walsh character of {i}")
 
 
+def hadamard_length(k: int) -> int:
+    """The length d = 2^j - 1 of k hadamard code vectors, for the smallest
+    j >= 1 with 2^j >= k."""
+    return (1 << max(1, (k - 1).bit_length())) - 1
+
+
 def hadamard_code_vectors(k: int) -> CodeFamily:
     """k sign vectors of length d = 2^j - 1 with distinct pairwise sums.
 
@@ -102,9 +108,8 @@ def hadamard_code_vectors(k: int) -> CodeFamily:
     """
     if k < 1:
         raise ParameterError("hadamard_code_vectors requires k >= 1")
-    j = max(1, (k - 1).bit_length())
-    rows = walsh_rows(j)
-    d = (1 << j) - 1
+    d = hadamard_length(k)
+    rows = walsh_rows(d.bit_length())
     vectors = tuple(r[1:] for r in rows[:k])
     _verify_hadamard_family(vectors, d)
     return CodeFamily(kind="hadamard", d=d, vectors=vectors)

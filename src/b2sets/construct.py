@@ -25,6 +25,7 @@ from .codes import (
     CodeFamily,
     ReducedVandermonde,
     hadamard_code_vectors,
+    hadamard_length,
     reduced_vandermonde,
     star_code_vectors,
 )
@@ -188,17 +189,22 @@ def _check_cap(kind: str, size: int, element_cap: int) -> None:
 
 
 def _code_family_set(
-    kind: str, code_vectors, k: int, n: int, element_cap: int
+    kind: str, code_vectors, d: int, k: int, n: int, element_cap: int
 ) -> SetFamily:
     # each of the k parts holds one element per lattice point
     _check_cap(kind, k, element_cap)
+    empty = f"{kind}: no lattice points with all coordinates <= {n} (d={d})"
+    # Row 1 of the matrix is node 1's powers, all 1, so every lattice point
+    # has first coordinate sum(y) >= m = ceil(d/2): for n below m the
+    # lattice is known to be empty before the code or the matrix is built.
+    # (n < 1 is lattice_points' parameter error.)
+    if 1 <= n < (d + 1) // 2:
+        raise EmptyConstruction(empty)
     code = code_vectors(k)
     matrix = reduced_vandermonde(code.d)
     points = lattice_points(matrix, n, element_cap // k)
     if not points:
-        raise EmptyConstruction(
-            f"{kind}: no lattice points with all coordinates <= {n} (d={code.d})"
-        )
+        raise EmptyConstruction(empty)
     parts = []
     for j0, vec in enumerate(code.vectors):
         elems = tuple(
@@ -235,7 +241,9 @@ def build_w(k: int, n: int, element_cap: int = ELEMENT_CAP) -> SetFamily:
     """
     if k < 2:
         raise ParameterError("build_w requires k >= 2")
-    return _code_family_set("W", hadamard_code_vectors, k, n, element_cap)
+    return _code_family_set(
+        "W", hadamard_code_vectors, hadamard_length(k), k, n, element_cap
+    )
 
 
 def build_w_circ(k: int, n: int, element_cap: int = ELEMENT_CAP) -> SetFamily:
@@ -243,7 +251,7 @@ def build_w_circ(k: int, n: int, element_cap: int = ELEMENT_CAP) -> SetFamily:
     k >= 5 the union repeats no sum more than twice."""
     if k < 2:
         raise ParameterError("build_w_circ requires k >= 2")
-    return _code_family_set("Wcirc", star_code_vectors, k, n, element_cap)
+    return _code_family_set("Wcirc", star_code_vectors, k, k, n, element_cap)
 
 
 def build_product(k: int, n: int, element_cap: int = ELEMENT_CAP) -> SetFamily:

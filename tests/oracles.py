@@ -6,6 +6,7 @@ partition enumeration. Slow but obviously correct.
 """
 
 import random
+from fractions import Fraction
 
 
 def vadd(a, b):
@@ -108,6 +109,46 @@ def sumset(values):
 
 def diffset(values):
     return {vsub(a, b) for a in values for b in values}
+
+
+def brute_audit(elements, mode, min_size, trials=0, seed=0, max_size=None):
+    """The subset doubling audit by its definition, as a dict of the
+    AuditResult fields it determines.
+
+    ``exhaustive`` scores every index subset of size >= min_size in
+    increasing mask order (bit i for element i); ``sample`` replays the
+    seeded draws: a uniform size in [min_size, max_size], then a uniform
+    subset. Each subset is scored with explicit sumsets and difference
+    sets and exact Fractions, and only a strictly smaller ratio replaces
+    the minimum, so the first minimum wins.
+    """
+    values = [tuple(map(int, x)) if isinstance(x, tuple) else int(x) for x in elements]
+    n = len(values)
+    if mode == "exhaustive":
+        masks = (m for m in range(1, 1 << n) if bin(m).count("1") >= min_size)
+        subsets = ([i for i in range(n) if m >> i & 1] for m in masks)
+    else:
+        rng = random.Random(seed)
+        hi = min(n if max_size is None else max_size, n)
+        subsets = (
+            sorted(rng.sample(range(n), rng.randint(min_size, hi))) for _ in range(trials)
+        )
+    examined = 0
+    best = {}
+    for idx in subsets:
+        examined += 1
+        sub = [values[i] for i in idx]
+        for name, image in (("sum", sumset(sub)), ("diff", diffset(sub))):
+            ratio = Fraction(len(image), len(sub) ** 2)
+            if name not in best or ratio < best[name][0]:
+                best[name] = (ratio, idx)
+    return {
+        "subsets_examined": examined,
+        "min_sum_ratio": best["sum"][0],
+        "min_diff_ratio": best["diff"][0],
+        "argmin_sum": [elements[i] for i in best["sum"][1]],
+        "argmin_diff": [elements[i] for i in best["diff"][1]],
+    }
 
 
 def partitions_into_at_most(items, t):

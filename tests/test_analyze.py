@@ -1,7 +1,9 @@
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import b2sets.analyze as analyze
 from b2sets.analyze import (
     RESIDUE_PRIME,
     AuditParams,
+    AuditResult,
     additive_energy,
     canonical_keys,
     collision_census,
@@ -26,6 +29,7 @@ from b2sets.construct import Part, SetFamily, build_product, build_w, build_w_ci
 from b2sets.errors import ParameterError, ResourceCap
 
 from oracles import (
+    brute_audit,
     brute_energy_minus,
     brute_energy_plus,
     brute_energy_quadruples,
@@ -448,13 +452,63 @@ class TestAudit:
         "elements, mode, params",
         [
             (build_w(3, 30).union_values()[:12], "exhaustive", AuditParams(min_size=4)),
-            (build_product(3, 6).union_values(), "sample", AuditParams(trials=300, seed=5)),
+            (build_w_circ(5, 14).union_values()[::2][:12], "exhaustive", AuditParams(min_size=3)),
+            (list(range(10)), "exhaustive", AuditParams(min_size=2)),
+            (list(range(10)), "exhaustive", AuditParams(min_size=10)),
+            (list(range(-7, 40, 4)), "exhaustive", AuditParams(min_size=2)),
+            (random.Random(3).sample(range(14), 11), "exhaustive", AuditParams(min_size=3)),
+            (random.Random(8).sample(range(-9, 9), 9), "exhaustive", AuditParams(min_size=9)),
+            ([(x, y) for x in range(3) for y in range(3)], "exhaustive", AuditParams(min_size=2)),
+            (random.Random(5).sample([(x, y) for x in range(-3, 4) for y in range(4)], 10),
+             "exhaustive", AuditParams(min_size=4)),
+            # unsorted inputs whose depth-first order differs from mask order
+            # at a tie
+            ([-4, 13, 10, 15, -9, 12, 4, 2], "exhaustive", AuditParams(min_size=4)),
+            ([(1, 1), (1, 3), (1, 0), (3, 3), (3, 0), (3, 1), (0, 0), (0, 1)],
+             "exhaustive", AuditParams(min_size=4)),
+            (build_product(3, 6).union_values(), "sample", AuditParams(trials=150, seed=5)),
+            # many 3-term APs among the draws: the first one drawn wins
+            (list(range(12)), "sample", AuditParams(min_size=3, max_size=3, trials=40, seed=2)),
         ],
-        ids=["W30-exhaustive", "product36-sample"],
+        ids=[
+            "W30-slice", "Wcirc14-slice", "range10-min2", "range10-min10", "ap12",
+            "dense11", "dense9-min9", "grid3x3", "points10", "unsorted8", "points8",
+            "product36-sample", "range12-sample-ties",
+        ],
     )
-    def test_table_and_int_scans_agree(self, elements, mode, params, monkeypatch):
-        # up to AUDIT_TABLE_LIMIT elements the audit scans interned pair
-        # ids; with the limit at 0 it scans the int keys themselves
-        tables = subset_doubling_audit(elements, mode, params)
-        monkeypatch.setattr(analyze, "AUDIT_TABLE_LIMIT", 0)
-        assert subset_doubling_audit(elements, mode, params) == tables
+    def test_matches_brute_force(self, elements, mode, params):
+        # ties abound in APs, dense sets and grids: the argmin must be the
+        # first minimum in mask (or draw) order, as the definition scans
+        expected = brute_audit(elements, mode, **vars(params))
+        assert subset_doubling_audit(elements, mode, params) == AuditResult(
+            mode=mode, n_elements=len(elements), params=params, **expected
+        )
+
+    def test_equal_ratios_of_two_sizes_go_to_the_smaller_mask(self):
+        # 3/4 at size 2 on elements {2, 3} and 12/16 at size 4 on {0, 1, 2, 3}
+        ratio, argmin = analyze._first_minimum(iter([(3, 4, 0b1100), (12, 16, 0b1111)]))
+        assert (ratio, argmin) == (Fraction(3, 4), [2, 3])
+        ratio, argmin = analyze._first_minimum(iter([(3, 4, 0b110000), (12, 16, 0b1111)]))
+        assert (ratio, argmin) == (Fraction(3, 4), [0, 1, 2, 3])
+
+    def test_sampled_memory_is_per_draw(self):
+        # no table over all 600 points: the draws hold at most 48 points
+        elements = build_product(5, 19).union_values()
+        params = AuditParams(min_size=4, trials=50, seed=11, max_size=48)
+        tracemalloc.start()
+        try:
+            subset_doubling_audit(elements, "sample", params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_exhaustive_at_the_limit(self):
+        vals = build_w(3, 30).union_values()[: analyze.EXHAUSTIVE_AUDIT_LIMIT]
+        res = subset_doubling_audit(vals, "exhaustive", AuditParams(min_size=4))
+        n = len(vals)
+        assert res.subsets_examined == sum(math.comb(n, s) for s in range(4, n + 1))
+        ints = [int(v) for v in res.argmin_sum]
+        assert Fraction(len(sumset(ints)), len(ints) ** 2) == res.min_sum_ratio
+        ints = [int(v) for v in res.argmin_diff]
+        assert Fraction(len(diffset(ints)), len(ints) ** 2) == res.min_diff_ratio
