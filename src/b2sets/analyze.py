@@ -444,30 +444,36 @@ class DisjointnessReport:
 
 def family_sumset_disjointness(family: SetFamily) -> DisjointnessReport:
     """Check that the pairwise part sumsets P_i + P_j are disjoint across
-    distinct unordered index pairs {i, j}."""
+    distinct unordered index pairs {i, j}; the witness is the least value
+    in two of them, with the first two such pairs.
+
+    The candidates are the union's repeated sums, from the pair kernel,
+    and one more value. A value with a single representation a + b in the
+    union lies in two part sumsets only when a or b lies in two parts. The
+    least such value is the least shared element plus the least element,
+    and it does lie in two part sumsets, so it is the one added.
+    """
     part_points = [[canonical_key(v) for v in values] for values in family.part_values()]
-    points = list(dict.fromkeys(p for part in part_points for p in part))
-    keys, decode = _int_keys(points)
-    key_of = dict(zip(points, keys))
-    part_keys = [[key_of[p] for p in part] for part in part_points]
-    k = len(part_keys)
-    owner: dict = {}
-    collisions: list = []
-    for i in range(k):
-        for j in range(i, k):
-            pair = (i + 1, j + 1)
-            if i == j:
-                values = set(_pair_values(sorted(part_keys[i], reverse=True), "sum"))
-            else:
-                values = {a + b for a in part_keys[i] for b in part_keys[j]}
-            for v in values:
-                prev = owner.setdefault(v, pair)
-                if prev != pair:
-                    collisions.append((v, prev, pair))
-    if not collisions:
-        return DisjointnessReport(True, k * (k + 1) // 2, None, None)
-    value, first, second = min(collisions)
-    return DisjointnessReport(False, k * (k + 1) // 2, decode(value), (first, second))
+    holders: dict = {}  # point -> the 1-based parts holding it
+    for number, part in enumerate(part_points, 1):
+        for p in part:
+            holders.setdefault(p, set()).add(number)
+    keys, decode = _int_keys(list(holders))
+    owners = list(holders.values())
+    _, groups = _repeated_pairs(keys, "sum")
+    shared = [i for i, parts in enumerate(owners) if len(parts) > 1]
+    if shared:
+        a = min(shared, key=keys.__getitem__)
+        b = min(range(len(keys)), key=keys.__getitem__)
+        groups.setdefault(keys[a] + keys[b], [(a, b)])
+    pair_count = len(part_points) * (len(part_points) + 1) // 2
+    for value in sorted(groups):
+        pairs = sorted(
+            {(min(p, q), max(p, q)) for i, j in groups[value] for p in owners[i] for q in owners[j]}
+        )
+        if len(pairs) > 1:
+            return DisjointnessReport(False, pair_count, decode(value), tuple(pairs[:2]))
+    return DisjointnessReport(True, pair_count, None, None)
 
 
 # -- collision census ---------------------------------------------------------

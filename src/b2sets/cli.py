@@ -7,8 +7,9 @@ byte-identical output. Wall-clock timing goes to stderr only, never into
 the report.
 
 Exit codes: 0 pass, 1 verdict failure, 2 configuration error (an edited
-family file included), 3 resource cap exceeded, 4 search timeout, 5
-internal failure (a check of the tool's own work failed).
+family file included), 3 resource cap exceeded or out of memory, 4 search
+timeout, 5 internal failure (a check of the tool's own work failed, or an
+unexpected exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .analyze import (
     rep_profile,
     subset_doubling_audit,
 )
-from .construct import ELEMENT_CAP, build_family, build_meyer, f2_embed
+from .construct import ELEMENT_CAP, EMBED_VERIFY_THRESHOLD, build_family, build_meyer, f2_embed
 from .decompose import (
+    DEFAULT_NODE_BUDGET,
     counting_certificate,
     exact_min_union,
     greedy_union,
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--kind", choices=("sum", "diff"), required=True)
     p.add_argument("--max-parts", type=int, default=None)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--greedy", action="store_true", help="first-fit upper bound only")
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="embed a finite point set into the integers")
     p.add_argument("setfile", nargs="?")
     p.add_argument("--values", help="comma-separated decimal or sparse elements")
-    p.add_argument("--threshold", type=int, default=100)
+    p.add_argument("--threshold", type=int, default=EMBED_VERIFY_THRESHOLD)
     _add_common(p)
     p.set_defaults(func=cmd_embed)
 
@@ -448,6 +450,11 @@ def main(argv=None) -> int:
     except B2SetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        import traceback  # loaded only on this path, off the startup cost
+
+        traceback.print_exc()
+        return EXIT_RESOURCE if isinstance(exc, MemoryError) else EXIT_INTERNAL
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code
 

@@ -319,13 +319,7 @@ def build_proposition(k: int, n: int, element_cap: int = ELEMENT_CAP) -> SetFami
     parts = []
     for idx, signs in enumerate(iter_product((1, -1), repeat=k)):
         elems = tuple(
-            BoxElement(
-                indices,
-                signs,
-                DigitVector.from_map(
-                    {indices[c] * k + (c + 1): signs[c] for c in range(k)}
-                ),
-            )
+            BoxElement(indices, signs, element_value(indices, signs))
             for indices in iter_product(range(1, n + 1), repeat=k)
         )
         parts.append(Part(f"S_{idx + 1}", elems))

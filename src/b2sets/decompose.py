@@ -110,6 +110,13 @@ def _collision_order(keys, kind):
     return sorted(range(len(keys)), key=lambda i: (-degree[i], i))
 
 
+def _check_search(g, kind):
+    if kind not in ("sum", "diff"):
+        raise ParameterError(f"unknown kind {kind!r}")
+    if g < 1:
+        raise ParameterError("g must be >= 1")
+
+
 def exact_min_union(
     elements,
     g: int,
@@ -127,10 +134,7 @@ def exact_min_union(
     claimed only when the search space is exhausted within budget;
     TIMEOUT is a first-class status and never upgrades to a claim.
     """
-    if kind not in ("sum", "diff"):
-        raise ParameterError(f"unknown kind {kind!r}")
-    if g < 1:
-        raise ParameterError("g must be >= 1")
+    _check_search(g, kind)
     keys, _ = canonical_keys(elements)
     order = _collision_order(keys, kind)
     ordered_keys = [keys[i] for i in order]
@@ -161,45 +165,39 @@ def exact_min_union(
 
 
 def _search_t(keys, g, kind, t, budget) -> SearchResult:
+    """Depth-first search for a t-part assignment of ``keys`` in order,
+    on an explicit stack with one entry per placed element, so its depth
+    is not bounded by the interpreter's recursion limit. An element tries
+    the parts already opened, then one new part while fewer than t are
+    open; every try is a node, and the search times out once the node
+    count exceeds ``budget``."""
     n = len(keys)
     parts = [_PartState() for _ in range(t)]
-    assignment = [-1] * n
+    stack: list = []  # (part, pair values added, limit) of each placed element
     nodes = 0
-    exhausted = True
-
-    def dfs(idx, used):
-        nonlocal nodes, exhausted
-        if idx == n:
-            return True
-        limit = min(used + 1, t)
-        for p in range(limit):
+    idx, p, limit = 0, 0, min(1, t)  # element idx tries parts p..limit-1
+    while idx < n:
+        if p < limit:
             nodes += 1
             if nodes > budget:
-                exhausted = False
-                return False
-            vals = parts[p].deltas(keys[idx], kind)
-            if parts[p].fits(vals, g):
-                parts[p].add(keys[idx], vals)
-                assignment[idx] = p
-                if dfs(idx + 1, max(used, p + 1)):
-                    return True
-                if not exhausted:
-                    return False
-                parts[p].remove(keys[idx], vals)
-                assignment[idx] = -1
-        return False
-
-    found = dfs(0, 0)
-    if found:
-        deco = Decomposition(
-            assignment=list(assignment),
-            g=g,
-            parts_used=t,
-        )
-        return SearchResult("SAT", t, deco, nodes, budget)
-    if exhausted:
-        return SearchResult("UNSAT", t, None, nodes, budget)
-    return SearchResult("TIMEOUT", t, None, nodes, budget)
+                return SearchResult("TIMEOUT", t, None, nodes, budget)
+            part = parts[p]
+            vals = part.deltas(keys[idx], kind)
+            if part.fits(vals, g):
+                part.add(keys[idx], vals)
+                stack.append((p, vals, limit))
+                idx, p, limit = idx + 1, 0, min(max(limit, p + 2), t)
+            else:
+                p += 1
+        elif stack:
+            p, vals, limit = stack.pop()
+            idx -= 1
+            parts[p].remove(keys[idx], vals)
+            p += 1
+        else:
+            return SearchResult("UNSAT", t, None, nodes, budget)
+    deco = Decomposition(assignment=[entry[0] for entry in stack], g=g, parts_used=t)
+    return SearchResult("SAT", t, deco, nodes, budget)
 
 
 def _verify_decomposition(elements, deco: Decomposition, g, kind):
@@ -214,30 +212,12 @@ def _verify_decomposition(elements, deco: Decomposition, g, kind):
 
 def greedy_union(elements, g: int, kind: str) -> Decomposition:
     """First-fit assignment in canonical element order; an upper bound on
-    the exact minimum."""
-    if kind not in ("sum", "diff"):
-        raise ParameterError(f"unknown kind {kind!r}")
+    the exact minimum. It is the first descent of the exact search with
+    one part per element: a new part always fits, so it never backtracks."""
+    _check_search(g, kind)
     keys, _ = canonical_keys(elements)
-    parts: list[_PartState] = []
-    assignment = [-1] * len(keys)
-    for idx, key in enumerate(keys):
-        for p, state in enumerate(parts):
-            vals = state.deltas(key, kind)
-            if state.fits(vals, g):
-                state.add(key, vals)
-                assignment[idx] = p
-                break
-        else:
-            state = _PartState()
-            vals = state.deltas(key, kind)
-            state.add(key, vals)
-            parts.append(state)
-            assignment[idx] = len(parts) - 1
-    deco = Decomposition(
-        assignment=assignment,
-        g=g,
-        parts_used=len(parts),
-    )
+    assignment = _search_t(keys, g, kind, len(keys), math.inf).decomposition.assignment
+    deco = Decomposition(assignment=assignment, g=g, parts_used=max(assignment, default=-1) + 1)
     _verify_decomposition(elements, deco, g, kind)
     return deco
 

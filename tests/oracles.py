@@ -151,6 +151,37 @@ def brute_audit(elements, mode, min_size, trials=0, seed=0, max_size=None):
     }
 
 
+def brute_disjointness(part_values):
+    """Pairwise part sumset disjointness by an owner dict, as the tuple
+    (passed, pair_count, witness_value, witness_pairs) of a
+    DisjointnessReport.
+
+    The sumset of every index pair (i, j), i <= j (1-based), is built
+    explicitly in lexicographic pair order; each value remembers the
+    first pair that produced it, and a later pair producing it is a
+    collision. The witness is the least colliding value (planar points
+    compare lexicographically) with its first two pairs.
+    """
+    parts = [
+        [tuple(map(int, x)) if isinstance(x, tuple) else int(x) for x in part]
+        for part in part_values
+    ]
+    k = len(parts)
+    owner = {}
+    collisions = []
+    for i in range(k):
+        for j in range(i, k):
+            pair = (i + 1, j + 1)
+            for v in {vadd(a, b) for a in parts[i] for b in parts[j]}:
+                prev = owner.setdefault(v, pair)
+                if prev != pair:
+                    collisions.append((v, prev, pair))
+    if not collisions:
+        return True, k * (k + 1) // 2, None, None
+    value, first, second = min(collisions)
+    return False, k * (k + 1) // 2, value, (first, second)
+
+
 def partitions_into_at_most(items, t):
     """All set partitions of items into at most t nonempty parts, as lists
     of lists (restricted growth strings)."""

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from b2sets.errors import ParameterError, ResourceCap
 
 from oracles import (
     brute_audit,
+    brute_disjointness,
     brute_energy_minus,
     brute_energy_plus,
     brute_energy_quadruples,
@@ -373,6 +375,62 @@ class TestDisjointness:
                 for b in parts[j - 1]
             }
             assert v in s
+
+    def test_shared_element_with_a_single_representation(self):
+        # 0 + 5 has one representation in the union {0, 5}, yet it lies
+        # in P_1 + P_3 and P_2 + P_3 because 5 lies in two parts; it is
+        # below 2 * 5, the value the shared element repeats
+        parts = [[5], [5], [0]]
+        rep = family_sumset_disjointness(FakeValueParts(parts))
+        assert (rep.witness_value, rep.witness_pairs) == (5, ((1, 3), (2, 3)))
+        assert astuple(rep) == brute_disjointness(parts)
+
+    @pytest.mark.parametrize("planar", [False, True], ids=["int", "planar"])
+    def test_matches_brute_force_on_random_families(self, planar):
+        rng = random.Random(1003 + planar)
+        for _ in range(300):
+            hi = rng.choice([4, 12, 50, 300])
+            draw = (
+                (lambda: (rng.randint(-hi, hi), rng.randint(-hi, hi)))
+                if planar
+                else (lambda: rng.randint(-hi, hi))
+            )
+            parts = [
+                list(dict.fromkeys(draw() for _ in range(rng.randint(0, 6))))
+                for _ in range(rng.randint(1, 5))
+            ]
+            if rng.random() < 0.3:
+                # one element of some part also joins another part
+                x = draw() if not any(parts) else rng.choice(rng.choice([p for p in parts if p]))
+                dst = rng.choice(parts)
+                if x not in dst:
+                    dst.append(x)
+            rep = family_sumset_disjointness(FakeValueParts(parts))
+            assert astuple(rep) == brute_disjointness(parts), parts
+
+    def test_matches_brute_force_on_the_residue_path(self):
+        # W(3, 40) has 741 elements, 274,911 pair sums: above
+        # FULL_MAP_PAIR_LIMIT. Adding a part that shares elements with two
+        # others makes the same union fail.
+        parts = build_w(3, 40).part_values()
+        assert analyze._pair_total(741, "sum") > analyze.FULL_MAP_PAIR_LIMIT
+        for family in (parts, parts + [parts[0][100:103] + parts[2][7:9]]):
+            rep = family_sumset_disjointness(FakeValueParts(family))
+            assert astuple(rep) == brute_disjointness(family)
+        assert not rep.passed
+
+    def test_memory_is_the_kernels(self):
+        # no per-part-pair sumset: the parent's sets peaked at 29.7 MB
+        import numpy  # noqa: F401  (loaded before tracing)
+
+        family = build_w(3, 40)
+        tracemalloc.start()
+        try:
+            assert family_sumset_disjointness(family).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestCensus:

@@ -48,6 +48,25 @@ class TestBuild:
         )
 
 
+class TestUnexpectedErrors:
+    def _raise(self, monkeypatch, exc):
+        def boom(elements):
+            raise exc
+
+        monkeypatch.setattr("b2sets.cli.additive_energy", boom)
+        return main(["analyze", "--values", "0,1,2", "--check", "energy"])
+
+    def test_exception_exits_5_with_traceback(self, monkeypatch, capsys):
+        # not 1, which would read as a verdict failure
+        assert self._raise(monkeypatch, RuntimeError("unexpected")) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: unexpected" in err
+
+    def test_memory_error_exits_3(self, monkeypatch, capsys):
+        assert self._raise(monkeypatch, MemoryError()) == 3
+        assert "MemoryError" in capsys.readouterr().err
+
+
 class TestAnalyze:
     @pytest.fixture()
     def wfile(self, tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from b2sets.analyze import is_b2, is_b2_circ
+from b2sets.cli import main
 from b2sets.construct import build_meyer, build_product, build_w, build_w_circ
 from b2sets.decompose import (
     counting_certificate,
@@ -88,6 +89,26 @@ class TestExactMinUnion:
                     rep = exact_min_union(vals, g=g, kind=kind, max_parts=4)
                     expected = brute_min_union(vals, g, kind, 4)
                     assert rep.minimum == expected, (vals, kind, g)
+
+
+class TestDepth:
+    # An Erdos-Turan Sidon set, 2pk + (k^2 mod p) for k < p = 1201: one
+    # part holds it at g = 1, so the search descends 1,201 elements deep,
+    # past the interpreter's default recursion limit of 1,000.
+    SIDON = [2 * 1201 * k + k * k % 1201 for k in range(1201)]
+
+    def test_exact_search(self):
+        rep = exact_min_union(self.SIDON, g=1, kind="sum", max_parts=1)
+        assert rep.results[1].status == "SAT"
+        assert rep.minimum == 1
+
+    def test_greedy(self):
+        assert greedy_union(self.SIDON, g=1, kind="sum").parts_used == 1
+
+    def test_cli(self):
+        values = ",".join(map(str, self.SIDON))
+        argv = ["decompose", "--values", values, "--g", "1", "--kind", "sum", "--max-parts", "1"]
+        assert main(argv) == 0
 
 
 class TestGreedy:
