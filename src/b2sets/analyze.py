@@ -15,7 +15,7 @@ Values handed back to callers are decoded to points.
 All pair enumeration runs through one kernel over the keys sorted in
 descending order. Up to FULL_MAP_PAIR_LIMIT pairs, a full value->count
 map is built. Above it, each pair value is first reduced to its residue
-mod the prime 2^61 - 1, computed from the keys' residues in a numpy
+mod the prime 2^61 - 31, computed from the keys' residues in a numpy
 uint64 array (about 8 bytes per pair, against about 97 for a hash-table
 entry). The residue is a function of the value, so every repeated value
 has a repeated residue; after one sort, only the pairs whose residue
@@ -52,7 +52,10 @@ from .errors import InternalVerificationFailure, ParameterError, ResourceCap
 
 ENERGY_PAIR_BUDGET = 5 * 10**7
 FULL_MAP_PAIR_LIMIT = 200_000
-RESIDUE_PRIME = 2**61 - 1
+# 2^61 - 31. Not 2^61 - 1, the modulus of Python's int hash: 2^i mod that
+# prime is 2^(i mod 61), so the sums of distinct powers of two would share
+# a few thousand residues.
+RESIDUE_PRIME = 2305843009213693921
 WITNESS_CAP = 10
 EXHAUSTIVE_AUDIT_LIMIT = 20
 
@@ -178,7 +181,7 @@ def _count_values(desc, mode, order=None):
 def _residue_counts(desc, mode, order):
     """``_count_values`` above FULL_MAP_PAIR_LIMIT, in about 8 bytes per pair.
 
-    A pair value's residue mod the prime p = 2^61 - 1 is a function of the
+    A pair value's residue mod the prime p = 2^61 - 31 is a function of the
     value: (r_a + r_b) mod p for a sum, (r_a + (p - r_b)) mod p for a
     difference, where r is a key's residue. So a value with two or more
     pairs has a residue that occurs two or more times. All residues go

@@ -3,7 +3,8 @@ partition extraction from the power-of-five difference set.
 
 The search side answers "can this set be written as a union of t parts,
 each repeating no sum (or difference) more than g times?" by exact
-backtracking with incremental per-part profiles. The certificate side
+backtracking that counts, per part, only the pair values that repeat in
+the whole set, each interned once as a small id. The certificate side
 replaces asymptotics with exact finite counts: if a family has N lattice
 tuples and only V possible collision values, any decomposition into t
 bounded-repetition parts can absorb at most t*g*V of the N forced
@@ -61,53 +62,18 @@ class MinUnionReport:
     order: list[int]  # element indices in search order
 
 
-class _PartState:
-    __slots__ = ("members", "counts")
-
-    def __init__(self):
-        self.members: list = []
-        self.counts: dict = {}
-
-    def deltas(self, key, kind):
-        if kind == "sum":
-            return [key + m for m in self.members] + [key + key]
-        return [abs(key - m) for m in self.members]
-
-    def add(self, key, vals):
-        self.members.append(key)
-        for v in vals:
-            self.counts[v] = self.counts.get(v, 0) + 1
-
-    def remove(self, key, vals):
-        self.members.pop()
-        for v in vals:
-            c = self.counts[v] - 1
-            if c:
-                self.counts[v] = c
-            else:
-                del self.counts[v]
-
-    def fits(self, vals, g):
-        counts = self.counts
-        local: dict = {}
-        for v in vals:
-            c = counts.get(v, 0) + local.get(v, 0) + 1
-            if c > g:
-                return False
-            local[v] = local.get(v, 0) + 1
-        return True
-
-
-def _collision_order(keys, kind):
-    """Fail-first element order: descending number of repeated values the
-    element participates in, ties broken by canonical position."""
-    degree = [0] * len(keys)
-    for pairs in rep_profile(keys, kind).repeated.values():
+def _pair_ids(keys, kind):
+    """The search's view of one ``rep_profile`` call: ``ids[i]`` maps each
+    partner j of element i (i itself for its own sum) to a small id, from
+    1, of the value of pair {i, j}, for every value that repeats in the
+    whole set; a value with one representation can never push a part
+    past g >= 1, so it gets no id. Also the fail-first order: descending
+    number of such partners, ties broken by canonical position."""
+    ids = [{} for _ in keys]
+    for vid, pairs in enumerate(rep_profile(keys, kind).repeated.values(), 1):
         for i, j in pairs:
-            degree[i] += 1
-            if j != i:
-                degree[j] += 1
-    return sorted(range(len(keys)), key=lambda i: (-degree[i], i))
+            ids[i][j] = ids[j][i] = vid
+    return ids, sorted(range(len(keys)), key=lambda i: (-len(ids[i]), i))
 
 
 def _check_search(g, kind):
@@ -136,15 +102,14 @@ def exact_min_union(
     """
     _check_search(g, kind)
     keys, _ = canonical_keys(elements)
-    order = _collision_order(keys, kind)
-    ordered_keys = [keys[i] for i in order]
+    ids, order = _pair_ids(keys, kind)
     n = len(keys)
     cap = max_parts if max_parts is not None else n
     results: dict[int, SearchResult] = {}
     minimum = None
     all_smaller_unsat = True
     for t in range(1, cap + 1):
-        res = _search_t(ordered_keys, g, kind, t, budget)
+        res = _search_t(ids, order, g, t, budget)
         if res.status == "SAT" and res.decomposition is not None:
             # translate back to input element order
             assignment = [0] * n
@@ -164,16 +129,20 @@ def exact_min_union(
     return MinUnionReport(kind=kind, g=g, results=results, minimum=minimum, order=order)
 
 
-def _search_t(keys, g, kind, t, budget) -> SearchResult:
-    """Depth-first search for a t-part assignment of ``keys`` in order,
-    on an explicit stack with one entry per placed element, so its depth
-    is not bounded by the interpreter's recursion limit. An element tries
-    the parts already opened, then one new part while fewer than t are
-    open; every try is a node, and the search times out once the node
-    count exceeds ``budget``."""
-    n = len(keys)
-    parts = [_PartState() for _ in range(t)]
-    stack: list = []  # (part, pair values added, limit) of each placed element
+def _search_t(ids, order, g, t, budget) -> SearchResult:
+    """Depth-first search for a t-part assignment of the elements in
+    ``order``, on an explicit stack with one entry per placed element, so
+    its depth is not bounded by the interpreter's recursion limit. An
+    element tries the parts already opened, then one new part while fewer
+    than t are open; every try is a node, and the search times out once
+    the node count exceeds ``budget``. A part keeps its members and a
+    count per repeated-value id of ``_pair_ids``: an element joins it,
+    the ids of its pairs with the members (itself included) are counted,
+    and the counts are undone if any exceeds g."""
+    n = len(order)
+    members = [[] for _ in range(t)]
+    counts = [{} for _ in range(t)]
+    stack: list = []  # (part, value ids counted, limit) of each placed element
     nodes = 0
     idx, p, limit = 0, 0, min(1, t)  # element idx tries parts p..limit-1
     while idx < n:
@@ -181,21 +150,27 @@ def _search_t(keys, g, kind, t, budget) -> SearchResult:
             nodes += 1
             if nodes > budget:
                 return SearchResult("TIMEOUT", t, None, nodes, budget)
-            part = parts[p]
-            vals = part.deltas(keys[idx], kind)
-            if part.fits(vals, g):
-                part.add(keys[idx], vals)
-                stack.append((p, vals, limit))
-                idx, p, limit = idx + 1, 0, min(max(limit, p + 2), t)
+            link, part, count = ids[order[idx]], members[p], counts[p]
+            part.append(order[idx])
+            vids = list(filter(None, map(link.get, part)))  # ids are never 0
+            for k, v in enumerate(vids):
+                count[v] = c = count.get(v, 0) + 1
+                if c > g:
+                    del vids[k + 1 :]  # undo only the counts made
+                    break
             else:
-                p += 1
+                stack.append((p, vids, limit))
+                idx, p, limit = idx + 1, 0, min(max(limit, p + 2), t)
+                continue
         elif stack:
-            p, vals, limit = stack.pop()
+            p, vids, limit = stack.pop()
             idx -= 1
-            parts[p].remove(keys[idx], vals)
-            p += 1
         else:
             return SearchResult("UNSAT", t, None, nodes, budget)
+        members[p].pop()
+        for v in vids:
+            counts[p][v] -= 1
+        p += 1
     deco = Decomposition(assignment=[entry[0] for entry in stack], g=g, parts_used=t)
     return SearchResult("SAT", t, deco, nodes, budget)
 
@@ -216,7 +191,8 @@ def greedy_union(elements, g: int, kind: str) -> Decomposition:
     one part per element: a new part always fits, so it never backtracks."""
     _check_search(g, kind)
     keys, _ = canonical_keys(elements)
-    assignment = _search_t(keys, g, kind, len(keys), math.inf).decomposition.assignment
+    ids, _ = _pair_ids(keys, kind)
+    assignment = _search_t(ids, range(len(keys)), g, len(keys), math.inf).decomposition.assignment
     deco = Decomposition(assignment=assignment, g=g, parts_used=max(assignment, default=-1) + 1)
     _verify_decomposition(elements, deco, g, kind)
     return deco

@@ -2,11 +2,15 @@
 
 These deliberately avoid the library's counting machinery: plain dict
 tallies over explicit pair loops, literal quadruple scans, and exhaustive
-partition enumeration. Slow but obviously correct.
+partition enumeration. Slow but obviously correct. The dict-based
+minimum-union search at the end is the search's previous implementation,
+kept as a step-by-step reference.
 """
 
 import random
 from fractions import Fraction
+
+from b2sets.decompose import Decomposition, SearchResult
 
 
 def vadd(a, b):
@@ -277,3 +281,154 @@ def sampled_minors(rows, count=200, seed=0xB25):
     rng = random.Random(seed)
     d, m = len(rows), len(rows[0])
     return [[rows[r] for r in sorted(rng.sample(range(d), m))] for _ in range(count)]
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin: the first twelve prime bases decide
+    every n below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# -- the dict-based minimum-union search, kept as a reference ----------------
+#
+# The search as it stood before it counted value ids: every part keeps a
+# dict of its pair values as ints. Its steps, node counts and assignments
+# are the ones the library's search must reproduce.
+
+
+class _PartState:
+    __slots__ = ("members", "counts")
+
+    def __init__(self):
+        self.members: list = []
+        self.counts: dict = {}
+
+    def deltas(self, key, kind):
+        if kind == "sum":
+            return [key + m for m in self.members] + [key + key]
+        return [abs(key - m) for m in self.members]
+
+    def add(self, key, vals):
+        self.members.append(key)
+        for v in vals:
+            self.counts[v] = self.counts.get(v, 0) + 1
+
+    def remove(self, key, vals):
+        self.members.pop()
+        for v in vals:
+            c = self.counts[v] - 1
+            if c:
+                self.counts[v] = c
+            else:
+                del self.counts[v]
+
+    def fits(self, vals, g):
+        counts = self.counts
+        local: dict = {}
+        for v in vals:
+            c = counts.get(v, 0) + local.get(v, 0) + 1
+            if c > g:
+                return False
+            local[v] = local.get(v, 0) + 1
+        return True
+
+
+
+def _search_t(keys, g, kind, t, budget) -> SearchResult:
+    """Depth-first search for a t-part assignment of ``keys`` in order,
+    on an explicit stack with one entry per placed element, so its depth
+    is not bounded by the interpreter's recursion limit. An element tries
+    the parts already opened, then one new part while fewer than t are
+    open; every try is a node, and the search times out once the node
+    count exceeds ``budget``."""
+    n = len(keys)
+    parts = [_PartState() for _ in range(t)]
+    stack: list = []  # (part, pair values added, limit) of each placed element
+    nodes = 0
+    idx, p, limit = 0, 0, min(1, t)  # element idx tries parts p..limit-1
+    while idx < n:
+        if p < limit:
+            nodes += 1
+            if nodes > budget:
+                return SearchResult("TIMEOUT", t, None, nodes, budget)
+            part = parts[p]
+            vals = part.deltas(keys[idx], kind)
+            if part.fits(vals, g):
+                part.add(keys[idx], vals)
+                stack.append((p, vals, limit))
+                idx, p, limit = idx + 1, 0, min(max(limit, p + 2), t)
+            else:
+                p += 1
+        elif stack:
+            p, vals, limit = stack.pop()
+            idx -= 1
+            parts[p].remove(keys[idx], vals)
+            p += 1
+        else:
+            return SearchResult("UNSAT", t, None, nodes, budget)
+    deco = Decomposition(assignment=[entry[0] for entry in stack], g=g, parts_used=t)
+    return SearchResult("SAT", t, deco, nodes, budget)
+
+
+def fail_first_order(keys, kind):
+    """Positions by descending number of pairs (an element with itself
+    included for sums) whose value repeats in the set, ties by position,
+    from plain pair loops over int keys."""
+    n = len(keys)
+    first = 0 if kind == "sum" else 1
+    pairs = [(i, j) for i in range(n) for j in range(i + first, n)]
+    values = [keys[i] + keys[j] if kind == "sum" else abs(keys[i] - keys[j]) for i, j in pairs]
+    counts = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    degree = [0] * n
+    for (i, j), v in zip(pairs, values):
+        if counts[v] >= 2:
+            degree[i] += 1
+            degree[j] += j != i
+    return sorted(range(n), key=lambda i: (-degree[i], i))
+
+
+def reference_min_union(keys, g, kind, max_parts, budget):
+    """t -> (status, nodes explored, assignment by input position or
+    None) of the reference search over ``fail_first_order``, for t up to
+    the first SAT or ``max_parts``."""
+    order = fail_first_order(keys, kind)
+    ordered = [keys[i] for i in order]
+    out = {}
+    for t in range(1, max_parts + 1):
+        res = _search_t(ordered, g, kind, t, budget)
+        assignment = None
+        if res.decomposition is not None:
+            assignment = [0] * len(keys)
+            for pos, part in enumerate(res.decomposition.assignment):
+                assignment[order[pos]] = part
+        out[t] = (res.status, res.nodes_explored, assignment)
+        if res.status == "SAT":
+            break
+    return out
+
+
+def reference_greedy(keys, g, kind):
+    """First-fit assignment in input order: the reference search's first
+    descent with one part per element."""
+    return _search_t(keys, g, kind, len(keys), float("inf")).decomposition.assignment

@@ -39,6 +39,7 @@ from oracles import (
     brute_is_b2_circ,
     diff_counts_ordered,
     diffset,
+    is_prime,
     sum_counts_unordered,
     sumset,
 )
@@ -155,6 +156,23 @@ RESIDUE_TWINS = {
         (-_P, 2), (2 * _P, -_P), (1, 2 * _P + 1), (-1, 0), (_P - 1, 3 * _P),
     ],
 }
+
+
+class TestResiduePrime:
+    def test_is_a_61_bit_prime(self):
+        assert [n for n in range(60) if is_prime(n)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59
+        ]
+        assert not is_prime(561 * 1105)  # a product of Carmichael numbers
+        assert is_prime(RESIDUE_PRIME)
+        assert RESIDUE_PRIME.bit_length() == 61
+
+    def test_sums_of_powers_of_two_keep_distinct_residues(self):
+        # Mod 2^61 - 1, the modulus of Python's int hash, 2^i is 2^(i mod
+        # 61), and these 245,350 sums share 1,891 residues.
+        powers = [pow(2, i, RESIDUE_PRIME) for i in range(700)]
+        residues = {(a + b) % RESIDUE_PRIME for i, a in enumerate(powers) for b in powers[i:]}
+        assert len(residues) >= 0.95 * (700 * 701 // 2)
 
 
 class TestCountingPaths:

@@ -1,10 +1,15 @@
+import os
 import random
 import statistics
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from b2sets.analyze import is_b2, is_b2_circ
+import b2sets
+from b2sets.analyze import canonical_keys, is_b2, is_b2_circ
 from b2sets.cli import main
 from b2sets.construct import build_meyer, build_product, build_w, build_w_circ
 from b2sets.decompose import (
@@ -18,7 +23,13 @@ from b2sets.decompose import (
 )
 from b2sets.errors import ParameterError
 
-from oracles import brute_min_union, collision_values_by_formula
+from oracles import (
+    brute_min_union,
+    collision_values_by_formula,
+    fail_first_order,
+    reference_greedy,
+    reference_min_union,
+)
 
 
 class TestExactMinUnion:
@@ -109,6 +120,96 @@ class TestDepth:
         values = ",".join(map(str, self.SIDON))
         argv = ["decompose", "--values", values, "--g", "1", "--kind", "sum", "--max-parts", "1"]
         assert main(argv) == 0
+
+    def test_powers_of_two(self):
+        # 1,200 powers of two are a Sidon set whose pair sums share few
+        # hash classes and few residues mod 2^61 - 1; a search that counts
+        # every pair value as an int takes minutes on them. The child's
+        # timeout turns such a regression into a failure, not a hang.
+        code = (
+            "from b2sets.decompose import exact_min_union, greedy_union\n"
+            "powers = [2**i for i in range(1200)]\n"
+            "rep = exact_min_union(powers, g=1, kind='sum', max_parts=1)\n"
+            "print(rep.minimum, greedy_union(powers, g=1, kind='sum').parts_used)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(b2sets.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]
+
+
+def _int_set(rng):
+    return rng.sample(range(-20, 40), rng.randint(1, 14))
+
+
+def _planar_set(rng):
+    box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    return rng.sample(box, rng.randint(1, 12))
+
+
+def _has_middle_placed_last(elements, order, assignment):
+    """Whether some part holds a 3-term progression whose middle term the
+    search placed after both ends, so that it formed the same difference
+    with two members of that part."""
+    rank = {e: pos for pos, e in enumerate(order)}
+    index = {x: i for i, x in enumerate(elements)}
+    for i, x in enumerate(elements):
+        for a in elements:
+            b = 2 * x - a
+            if a < x and b in index and assignment[index[a]] == assignment[index[b]] == assignment[i]:
+                if rank[i] > max(rank[index[a]], rank[index[b]]):
+                    return True
+    return False
+
+
+class TestReferenceSearch:
+    """The search must take the steps of the dict-based reference search
+    in ``oracles``: the same status, node count and assignment at every
+    t, and the same greedy assignment."""
+
+    def _check(self, elements, g, kind, budget):
+        keys, _ = canonical_keys(elements)
+        rep = exact_min_union(elements, g, kind, budget=budget)
+        expected = reference_min_union(keys, g, kind, len(keys), budget)
+        assert rep.order == fail_first_order(keys, kind)
+        got = {
+            t: (r.status, r.nodes_explored, r.decomposition and r.decomposition.assignment)
+            for t, r in rep.results.items()
+        }
+        assert got == expected, (elements, g, kind, budget)
+        assert greedy_union(elements, g, kind).assignment == reference_greedy(keys, g, kind)
+        return rep
+
+    @pytest.mark.parametrize("kind", ["sum", "diff"])
+    @pytest.mark.parametrize("make", [_int_set, _planar_set], ids=["int", "planar"])
+    def test_random_sets(self, make, kind):
+        rng = random.Random(f"{make.__name__}-{kind}")
+        statuses = set()
+        for _ in range(60):
+            g = rng.randint(1, 3)
+            budget = rng.choice([10, 100, 1000, 10**4])
+            rep = self._check(make(rng), g, kind, budget)
+            statuses.update(r.status for r in rep.results.values())
+        assert set(statuses) == {"SAT", "UNSAT", "TIMEOUT"}, statuses
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_diff_sets_with_three_term_progressions(self, g):
+        # Dense sets hold many 3-term progressions; with g >= 2 a part may
+        # keep one whose middle term joins last, counting one difference
+        # twice in a single node, and with g = 1 that node must fail.
+        rng = random.Random(g)
+        middles_last = 0
+        for _ in range(40):
+            elements = rng.sample(range(14), rng.randint(5, 11))
+            rep = self._check(elements, g, "diff", 10**5)
+            sat = rep.results[max(rep.results)]
+            if sat.status == "SAT":
+                middles_last += _has_middle_placed_last(
+                    elements, rep.order, sat.decomposition.assignment
+                )
+        assert (middles_last > 0) == (g > 1)
 
 
 class TestGreedy:
