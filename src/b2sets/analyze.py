@@ -512,10 +512,10 @@ def collision_census(family: SetFamily, mode: str) -> CensusReport:
       shared tuple per representation, a fixed part pair (i, j), i != j,
       and all tuples agreeing on the coordinates where v_i +- v_j is
       nonzero;
-    * swap: exactly two representations {phi(y).v_i, phi(z).v_j} and
-      {phi(z).v_i, phi(y).v_j} with y != z; for differences also the
-      within-part form (phi(y).v_i, phi(z).v_i) and (phi(z).v_h, phi(y).v_h)
-      across parts i != h;
+    * swap: exactly two representations (phi(y).v_i, phi(z).v_j) and
+      (phi(z).v_h, phi(y).v_m) whose tuples are swapped, y != z, and whose
+      parts are crossed, h = i != j = m, or, for differences only, within
+      two distinct parts, i = j != h = m (a sum's pairs are unordered);
     * agreement (star-code differences only): every representation is the
       within-part difference (phi(y).v_j, phi(z).v_j) of one fixed tuple
       pair y != z, across distinct parts j whose own coordinate satisfies
@@ -564,42 +564,41 @@ def _family_mode(family: SetFamily) -> str:
 
 
 def _classify_collision(reps, family, mode):
-    if mode == _family_mode(family):
-        ok, part_pair = _is_diagonal_pattern(reps, family.code.vectors, mode)
-        if ok:
-            return "PREDICTED", "diagonal", part_pair
-        if family.kind == "Wcirc":
-            ok, part_pair = _is_agreement_pattern(reps)
-            if ok:
-                return "PREDICTED", "agreement", part_pair
-        return "ANOMALY", "unmatched", None
-    ok, part_pair = _is_swap_pattern(reps, mode)
-    if ok:
-        return "PREDICTED", "swap", part_pair
+    if mode != _family_mode(family):
+        if part_pair := _is_swap_pattern(reps, mode):
+            return "PREDICTED", "swap", part_pair
+    elif part_pair := _is_diagonal_pattern(reps, family.code.vectors, mode):
+        return "PREDICTED", "diagonal", part_pair
+    elif family.kind == "Wcirc" and (part_pair := _is_agreement_pattern(reps)):
+        return "PREDICTED", "agreement", part_pair
     return "ANOMALY", "unmatched", None
 
 
 def _is_agreement_pattern(reps):
-    """Within-part differences of one tuple pair, repeated across every
-    part whose own coordinate agrees between the two tuples."""
+    """The sorted parts of within-part differences of one tuple pair,
+    repeated across every part whose own coordinate agrees between the two
+    tuples; None if the representations are not of that form."""
     point_pairs = set()
     parts = []
     for a, b in reps:
         if a.vector_index != b.vector_index:
-            return False, None
+            return None
         if a.point == b.point:
-            return False, None
+            return None
         j = a.vector_index
         if a.point.coords[j - 1] != b.point.coords[j - 1]:
-            return False, None
+            return None
         parts.append(j)
         point_pairs.add((a.point, b.point))
     if len(point_pairs) != 1 or len(set(parts)) != len(parts):
-        return False, None
-    return True, tuple(sorted(parts))
+        return None
+    return tuple(sorted(parts))
 
 
 def _is_diagonal_pattern(reps, vectors, mode):
+    """The part pair (i, j) shared by representations {phi(y).v_i,
+    phi(y).v_j}, i != j, whose tuples agree where v_i +- v_j is nonzero;
+    None if the representations are not of that form."""
     first_pair = None
     supp = None
     ref_coords = None
@@ -607,10 +606,10 @@ def _is_diagonal_pattern(reps, vectors, mode):
         if mode == "sum" and a.vector_index > b.vector_index:
             a, b = b, a
         if a.point != b.point:
-            return False, None
+            return None
         pair = (a.vector_index, b.vector_index)
         if pair[0] == pair[1]:
-            return False, None
+            return None
         if first_pair is None:
             first_pair = pair
             vi = vectors[pair[0] - 1]
@@ -622,50 +621,29 @@ def _is_diagonal_pattern(reps, vectors, mode):
             supp = [c for c, x in enumerate(combined) if x]
             ref_coords = a.point.coords
         elif pair != first_pair:
-            return False, None
+            return None
         if any(a.point.coords[c] != ref_coords[c] for c in supp):
-            return False, None
-    return True, first_pair
+            return None
+    return first_pair
 
 
 def _is_swap_pattern(reps, mode):
+    """The part pair of two representations (phi(y).v_i, phi(z).v_j) and
+    (phi(z).v_h, phi(y).v_m) with y != z whose parts are crossed, h = i !=
+    j = m, or, for differences only, within two parts, i = j != h = m;
+    None if they are not. A sum's second pair is also tried reversed, and
+    its part pair is reported sorted."""
     if len(reps) != 2:
-        return False, None
-    (a1, b1), (a2, b2) = reps
-    if mode == "sum":
-        # {phi(y).v_i, phi(z).v_j} and {phi(z).v_i, phi(y).v_j}, y != z
-        for p, q in ((a2, b2), (b2, a2)):
-            if (
-                a1.vector_index == p.vector_index
-                and b1.vector_index == q.vector_index
-                and a1.vector_index != b1.vector_index
-                and a1.point == q.point
-                and b1.point == p.point
-                and a1.point != b1.point
-            ):
-                return True, tuple(sorted((a1.vector_index, b1.vector_index)))
-        return False, None
-    # diff, within-part: (phi(y).v_i, phi(z).v_i) and (phi(z).v_h, phi(y).v_h)
-    if (
-        a1.vector_index == b1.vector_index
-        and a2.vector_index == b2.vector_index
-        and a1.vector_index != a2.vector_index
-        and a1.point == b2.point
-        and b1.point == a2.point
-        and a1.point != b1.point
-    ):
-        return True, (a1.vector_index, a2.vector_index)
-    # diff, cross-part: (phi(y).v_i, phi(z).v_j) and (phi(z).v_i, phi(y).v_j)
-    if (
-        a1.vector_index == a2.vector_index
-        and b1.vector_index == b2.vector_index
-        and a1.vector_index != b1.vector_index
-        and a1.point == b2.point
-        and b1.point == a2.point
-        and a1.point != b1.point
-    ):
-        return True, (a1.vector_index, b1.vector_index)
-    return False, None
+        return None
+    (a, b), second = reps
+    for c, d in (second, second[::-1]) if mode == "sum" else (second,):
+        if a.point == d.point and b.point == c.point and a.point != b.point:
+            i, j, h, m = a.vector_index, b.vector_index, c.vector_index, d.vector_index
+            if i == h and j == m and i != j:
+                return tuple(sorted((i, j))) if mode == "sum" else (i, j)
+            if mode == "diff" and i == j and h == m and i != h:
+                return i, h
+    return None
 
 
 # -- subset doubling audit -----------------------------------------------------
@@ -708,7 +686,8 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
     i) when exhaustive, so a tie goes to the smaller mask, and in draw
     order when sampled.
     """
-    keys, _ = canonical_keys(elements)
+    items = list(elements)
+    keys, _ = canonical_keys(items)
     n = len(keys)
     if params.min_size < 2:
         raise ParameterError("min_size must be >= 2")
@@ -744,7 +723,6 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
     else:
         raise ParameterError(f"unknown audit mode {mode!r}")
 
-    items = list(elements)
     return AuditResult(
         mode=mode,
         n_elements=n,

@@ -55,10 +55,6 @@ class CodeFamily:
     vectors: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...] = ()
 
-    @property
-    def k(self) -> int:
-        return len(self.vectors)
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,

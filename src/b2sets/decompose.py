@@ -101,7 +101,8 @@ def exact_min_union(
     TIMEOUT is a first-class status and never upgrades to a claim.
     """
     _check_search(g, kind)
-    keys, _ = canonical_keys(elements)
+    items = list(elements)
+    keys, _ = canonical_keys(items)
     ids, order = _pair_ids(keys, kind)
     n = len(keys)
     cap = max_parts if max_parts is not None else n
@@ -116,7 +117,7 @@ def exact_min_union(
             for pos, part in enumerate(res.decomposition.assignment):
                 assignment[order[pos]] = part
             res.decomposition.assignment = assignment
-            _verify_decomposition(elements, res.decomposition, g, kind)
+            _verify_decomposition(items, res.decomposition, g, kind)
         results[t] = res
         if res.status == "SAT":
             # the minimum is claimed only when every smaller t was fully
@@ -175,8 +176,7 @@ def _search_t(ids, order, g, t, budget) -> SearchResult:
     return SearchResult("SAT", t, deco, nodes, budget)
 
 
-def _verify_decomposition(elements, deco: Decomposition, g, kind):
-    items = list(elements)
+def _verify_decomposition(items, deco: Decomposition, g, kind):
     for part in deco.parts(items):
         if not part:
             continue
@@ -190,11 +190,12 @@ def greedy_union(elements, g: int, kind: str) -> Decomposition:
     the exact minimum. It is the first descent of the exact search with
     one part per element: a new part always fits, so it never backtracks."""
     _check_search(g, kind)
-    keys, _ = canonical_keys(elements)
+    items = list(elements)
+    keys, _ = canonical_keys(items)
     ids, _ = _pair_ids(keys, kind)
     assignment = _search_t(ids, range(len(keys)), g, len(keys), math.inf).decomposition.assignment
     deco = Decomposition(assignment=assignment, g=g, parts_used=max(assignment, default=-1) + 1)
-    _verify_decomposition(elements, deco, g, kind)
+    _verify_decomposition(items, deco, g, kind)
     return deco
 
 
@@ -348,7 +349,6 @@ class MixedCertificate:
     threshold: int
     sum_branch: dict
     diff_branch: dict
-    alpha_lower_bound: Fraction  # quarter-of-groups guarantee at half mass
     verdict: bool
     params: dict
 
@@ -380,7 +380,6 @@ def mixed_certificate(family: SetFamily, g: int, parts: int) -> MixedCertificate
         threshold=threshold,
         sum_branch=sum_branch,
         diff_branch=diff_branch,
-        alpha_lower_bound=Fraction(1, 4),
         verdict=verdict,
         params={"n": left.params["n"], "total": total},
     )

@@ -3,13 +3,14 @@
 These deliberately avoid the library's counting machinery: plain dict
 tallies over explicit pair loops, literal quadruple scans, and exhaustive
 partition enumeration. Slow but obviously correct. The dict-based
-minimum-union search at the end is the search's previous implementation,
-kept as a step-by-step reference.
+minimum-union search and the census matchers at the end are previous
+implementations, kept as step-by-step references.
 """
 
 import random
 from fractions import Fraction
 
+from b2sets.analyze import _family_mode
 from b2sets.decompose import Decomposition, SearchResult
 
 
@@ -432,3 +433,115 @@ def reference_greedy(keys, g, kind):
     """First-fit assignment in input order: the reference search's first
     descent with one part per element."""
     return _search_t(keys, g, kind, len(keys), float("inf")).decomposition.assignment
+
+
+# -- the census matchers as they returned (ok, part pair), kept as a reference
+#
+# Each matcher writes its own pattern test; the library's census writes the
+# swap rule once and returns the part pair or None, and must classify every
+# collision the way these do.
+
+
+def _classify_collision(reps, family, mode):
+    if mode == _family_mode(family):
+        ok, part_pair = _is_diagonal_pattern(reps, family.code.vectors, mode)
+        if ok:
+            return "PREDICTED", "diagonal", part_pair
+        if family.kind == "Wcirc":
+            ok, part_pair = _is_agreement_pattern(reps)
+            if ok:
+                return "PREDICTED", "agreement", part_pair
+        return "ANOMALY", "unmatched", None
+    ok, part_pair = _is_swap_pattern(reps, mode)
+    if ok:
+        return "PREDICTED", "swap", part_pair
+    return "ANOMALY", "unmatched", None
+
+
+def _is_agreement_pattern(reps):
+    """Within-part differences of one tuple pair, repeated across every
+    part whose own coordinate agrees between the two tuples."""
+    point_pairs = set()
+    parts = []
+    for a, b in reps:
+        if a.vector_index != b.vector_index:
+            return False, None
+        if a.point == b.point:
+            return False, None
+        j = a.vector_index
+        if a.point.coords[j - 1] != b.point.coords[j - 1]:
+            return False, None
+        parts.append(j)
+        point_pairs.add((a.point, b.point))
+    if len(point_pairs) != 1 or len(set(parts)) != len(parts):
+        return False, None
+    return True, tuple(sorted(parts))
+
+
+def _is_diagonal_pattern(reps, vectors, mode):
+    first_pair = None
+    supp = None
+    ref_coords = None
+    for a, b in reps:
+        if mode == "sum" and a.vector_index > b.vector_index:
+            a, b = b, a
+        if a.point != b.point:
+            return False, None
+        pair = (a.vector_index, b.vector_index)
+        if pair[0] == pair[1]:
+            return False, None
+        if first_pair is None:
+            first_pair = pair
+            vi = vectors[pair[0] - 1]
+            vj = vectors[pair[1] - 1]
+            combined = [
+                vi[c] + vj[c] if mode == "sum" else vi[c] - vj[c]
+                for c in range(len(vi))
+            ]
+            supp = [c for c, x in enumerate(combined) if x]
+            ref_coords = a.point.coords
+        elif pair != first_pair:
+            return False, None
+        if any(a.point.coords[c] != ref_coords[c] for c in supp):
+            return False, None
+    return True, first_pair
+
+
+def _is_swap_pattern(reps, mode):
+    if len(reps) != 2:
+        return False, None
+    (a1, b1), (a2, b2) = reps
+    if mode == "sum":
+        # {phi(y).v_i, phi(z).v_j} and {phi(z).v_i, phi(y).v_j}, y != z
+        for p, q in ((a2, b2), (b2, a2)):
+            if (
+                a1.vector_index == p.vector_index
+                and b1.vector_index == q.vector_index
+                and a1.vector_index != b1.vector_index
+                and a1.point == q.point
+                and b1.point == p.point
+                and a1.point != b1.point
+            ):
+                return True, tuple(sorted((a1.vector_index, b1.vector_index)))
+        return False, None
+    # diff, within-part: (phi(y).v_i, phi(z).v_i) and (phi(z).v_h, phi(y).v_h)
+    if (
+        a1.vector_index == b1.vector_index
+        and a2.vector_index == b2.vector_index
+        and a1.vector_index != a2.vector_index
+        and a1.point == b2.point
+        and b1.point == a2.point
+        and a1.point != b1.point
+    ):
+        return True, (a1.vector_index, a2.vector_index)
+    # diff, cross-part: (phi(y).v_i, phi(z).v_j) and (phi(z).v_i, phi(y).v_j)
+    if (
+        a1.vector_index == a2.vector_index
+        and b1.vector_index == b2.vector_index
+        and a1.vector_index != b1.vector_index
+        and a1.point == b2.point
+        and b1.point == a2.point
+        and a1.point != b1.point
+    ):
+        return True, (a1.vector_index, b1.vector_index)
+    return False, None

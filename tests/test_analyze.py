@@ -1,9 +1,11 @@
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +19,7 @@ from b2sets.analyze import (
     RESIDUE_PRIME,
     AuditParams,
     AuditResult,
+    _family_mode,
     additive_energy,
     canonical_keys,
     collision_census,
@@ -27,8 +30,10 @@ from b2sets.analyze import (
     subset_doubling_audit,
 )
 from b2sets.construct import Part, SetFamily, build_product, build_w, build_w_circ
+from b2sets.decompose import exact_min_union, greedy_union
 from b2sets.errors import ParameterError, ResourceCap
 
+from oracles import _classify_collision as reference_classify_collision
 from oracles import (
     brute_audit,
     brute_disjointness,
@@ -487,6 +492,126 @@ class TestCensus:
         with pytest.raises(ParameterError):
             collision_census(_toy_family([[1, 2]]), "sum")
 
+    @pytest.mark.parametrize(
+        "k, n, mode, count, values",
+        [
+            (3, 12, "diff", 72, [94451914062500, 95977773437500]),
+            (3, 12, "sum", 18, [19531250, 2441406250]),
+            (2, 10, "diff", 90, [12000, 13000]),
+            (2, 10, "sum", 1, [0]),
+        ],
+    )
+    def test_star_family_anomalies(self, k, n, mode, count, values):
+        # below k = 5 the star code leaves the pattern claim: every repeated
+        # difference is a swap and every repeated sum a diagonal, so each
+        # collision is an ANOMALY in the mode that does not admit it
+        family = build_w_circ(k, n)
+        assert family.warnings
+        census = collision_census(family, mode)
+        assert (len(census.records), census.anomalies, census.predicted) == (count, count, 0)
+        assert [r.value for r in census.records[: len(values)]] == values
+        assert {(r.classification, r.pattern, r.part_pair) for r in census.records} == {
+            ("ANOMALY", "unmatched", None)
+        }
+
+    @staticmethod
+    def _labelled(family, pattern):
+        """The family's elements by (tuple, part), the tuples of the first
+        collision of ``pattern`` in the family's own mode, and its parts
+        followed by the others."""
+        census = collision_census(family, _family_mode(family))
+        rec = next(r for r in census.records if r.pattern == pattern)
+        points = list(dict.fromkeys(e.point for rep in rec.reps for e in rep))
+        parts = list(rec.part_pair)
+        parts += [j for j in range(1, len(family.parts) + 1) if j not in parts]
+        return {(e.point, e.vector_index): e for e in family.union_elements()}, points, parts
+
+    @staticmethod
+    def _patterns(family, mode, pattern):
+        """Every classification pattern a test's inputs must reach."""
+        own = mode == _family_mode(family)
+        return {"unmatched"} | ({"diagonal", pattern} if own else {"swap"})
+
+    @pytest.mark.parametrize(
+        "family, pattern",
+        [(build_w(3, 10), "diagonal"), (build_w_circ(5, 14), "agreement")],
+        ids=["W", "Wcirc"],
+    )
+    def test_classifier_matches_reference_on_all_pairs_of_reps(self, family, pattern):
+        # every input of two representations over 3 tuples x 3 parts, the
+        # tuples and parts of a predicted collision among them
+        labelled, points, parts = self._labelled(family, pattern)
+        points += [p for p, _ in labelled if p not in points]
+        elems = [labelled[p, j] for p in points[:3] for j in parts[:3]]
+        reps = list(itertools.product(elems, repeat=2))
+        for mode in ("sum", "diff"):
+            seen = Counter()
+            for first, second in itertools.product(reps, repeat=2):
+                got = analyze._classify_collision((first, second), family, mode)
+                assert got == reference_classify_collision((first, second), family, mode)
+                seen[got[1]] += 1
+            assert sum(seen.values()) == 6561
+            assert set(seen) == self._patterns(family, mode, pattern)
+
+    @pytest.mark.parametrize(
+        "family, pattern",
+        [
+            (build_w(3, 10), "diagonal"),
+            (build_w(4, 12), "diagonal"),
+            (build_w_circ(5, 18), "agreement"),
+            (build_w_circ(6, 18), "agreement"),
+        ],
+        ids=["W3", "W4", "Wcirc5", "Wcirc6"],
+    )
+    def test_classifier_matches_reference_on_random_reps(self, family, pattern):
+        # 1-4 representations over a few tuples; half the later ones swap
+        # the first one's tuples, in one of its parts or a random one
+        labelled, points, _ = self._labelled(family, pattern)
+        points += [p for p, _ in labelled if p not in points][:2]
+        elems = [e for (p, _), e in labelled.items() if p in points]
+        rng = random.Random(12)
+
+        def part(a, b):
+            return rng.choice((a.vector_index, b.vector_index, rng.randint(1, len(family.parts))))
+
+        for mode in ("sum", "diff"):
+            seen = Counter()
+            for _ in range(3000):
+                a, b = rng.sample(elems, 2)
+                reps = [(a, b)]
+                for _ in range(rng.randint(0, 3)):
+                    if rng.random() < 0.5:
+                        reps.append((labelled[b.point, part(a, b)], labelled[a.point, part(a, b)]))
+                    else:
+                        reps.append(tuple(rng.sample(elems, 2)))
+                got = analyze._classify_collision(tuple(reps), family, mode)
+                assert got == reference_classify_collision(tuple(reps), family, mode)
+                seen[got[1]] += 1
+            assert set(seen) == self._patterns(family, mode, pattern)
+
+    @pytest.mark.parametrize(
+        "build, k, n",
+        [
+            (build_w, 2, 8),
+            (build_w, 3, 12),
+            (build_w, 4, 12),
+            (build_w, 5, 32),
+            (build_w, 6, 32),
+            (build_w_circ, 2, 10),
+            (build_w_circ, 3, 12),
+            (build_w_circ, 4, 14),
+            (build_w_circ, 5, 18),
+            (build_w_circ, 6, 18),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_census_matches_reference_classifier(self, build, k, n, mode):
+        # Wcirc(4, n) repeats no sum or difference at any n measured (<= 198)
+        family = build(k, n)
+        for rec in collision_census(family, mode).records:
+            expected = reference_classify_collision(rec.reps, family, mode)
+            assert (rec.classification, rec.pattern, rec.part_pair) == expected
+
 
 class TestAudit:
     def test_ap_ratio(self):
@@ -588,3 +713,21 @@ class TestAudit:
         assert Fraction(len(sumset(ints)), len(ints) ** 2) == res.min_sum_ratio
         ints = [int(v) for v in res.argmin_diff]
         assert Fraction(len(diffset(ints)), len(ints) ** 2) == res.min_diff_ratio
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda xs: rep_profile(xs, "sum"),
+        lambda xs: rep_profile(xs, "diff"),
+        additive_energy,
+        lambda xs: subset_doubling_audit(xs, "exhaustive", AuditParams(min_size=3)),
+        lambda xs: subset_doubling_audit(xs, "sample", AuditParams(min_size=3, trials=20)),
+        lambda xs: exact_min_union(xs, 1, "sum"),
+        lambda xs: greedy_union(xs, 1, "diff"),
+    ],
+    ids=["profile-sum", "profile-diff", "energy", "audit", "audit-sample", "exact", "greedy"],
+)
+def test_one_shot_iterables_are_read_once(call):
+    values = [0, 1, 3, 7, 12, 20]
+    assert call(v for v in values) == call(values)

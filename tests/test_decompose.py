@@ -366,7 +366,6 @@ class TestMixedCertificate:
         # with a full half row, the group pigeonhole guarantees ceil(2N/5)
         assert cert.sum_branch["guaranteed_groups"] == -(-2 * n_right // 5)
         assert cert.diff_branch["guaranteed_groups"] == -(-2 * n_left // 5)
-        assert cert.alpha_lower_bound == Fraction(1, 4)
         # the integer pigeonhole is at least the quarter-mass bound
         assert cert.sum_branch["guaranteed_groups"] * 4 >= n_right
         assert cert.diff_branch["guaranteed_groups"] * 4 >= n_left
