@@ -706,6 +706,8 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
         hi = min(params.max_size if params.max_size is not None else n, n)
         if hi < params.min_size:
             raise ParameterError("max_size below min_size")
+        if params.trials < 1:
+            raise ParameterError("trials must be >= 1")
         examined = params.trials
         best_sum = best_diff = None
         argmin_sum = argmin_diff = ()

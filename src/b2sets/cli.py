@@ -7,7 +7,8 @@ byte-identical output. Wall-clock timing goes to stderr only, never into
 the report.
 
 Exit codes: 0 pass, 1 verdict failure, 2 configuration error (an edited
-family file included), 3 resource cap exceeded or out of memory, 4 search
+family file, malformed element text, or an element file that cannot be
+read included), 3 resource cap exceeded or out of memory, 4 search
 timeout, 5 internal failure (a check of the tool's own work failed, or an
 unexpected exception, whose traceback goes to stderr).
 """

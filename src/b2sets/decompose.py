@@ -101,6 +101,8 @@ def exact_min_union(
     TIMEOUT is a first-class status and never upgrades to a claim.
     """
     _check_search(g, kind)
+    if max_parts is not None and max_parts < 1:
+        raise ParameterError("max_parts must be >= 1")
     items = list(elements)
     keys, _ = canonical_keys(items)
     ids, order = _pair_ids(keys, kind)
@@ -240,10 +242,7 @@ class CountingCertificate:
     True exactly when the certificate applies and lhs > capacity = t*g*V.
     """
 
-    family_kind: str
     kind: str  # "sum" | "diff"
-    g: int
-    parts: int
     applicable: bool
     lhs: int
     collision_value_count: int
@@ -274,10 +273,7 @@ def counting_certificate(family: SetFamily, g: int, parts: int) -> CountingCerti
         raise InternalVerificationFailure("closed-form lattice lower bound does not hold")
     applicable = parts < k
     return CountingCertificate(
-        family_kind=family.kind,
         kind=kind,
-        g=g,
-        parts=parts,
         applicable=applicable,
         lhs=lhs,
         collision_value_count=v_total,
@@ -307,25 +303,32 @@ def _pigeonhole_groups(row_mass: int, n_groups: int, k: int, threshold: int) -> 
     return -(-shortfall // slack)  # ceil division
 
 
-def _line_groups(line: SetFamily, other: SetFamily, mass: int, threshold: int) -> dict:
+def _density_pigeonhole(left, right, g, mass, threshold, repeats, parts):
     """The densest-line pigeonhole of a product subset holding ``mass``
-    elements: one of the |other| copies of ``line`` holds at least
-    row_mass = ceil(mass / |other|) of them (at most |line|), and grouping
-    that line by lattice tuples guarantees guaranteed_groups groups with
-    at least ``threshold`` of them, each pair of which repeats one of the
-    line family's collision values."""
-    n_groups = line.params["lattice_size"]
-    row_mass = min(-(-mass // other.size()), line.size())
-    return {
-        "groups": n_groups,
-        "row_mass": row_mass,
-        "guaranteed_groups": _pigeonhole_groups(
-            row_mass, n_groups, line.params["k"], threshold
-        ),
-        "collision_value_count": sum(
-            len(s) for s in pair_collision_values(line).values()
-        ),
-    }
+    marked elements, as the sum branch over the right factor and the diff
+    branch over the left. One of the |other| copies of a factor line holds
+    row_mass = ceil(mass / |other|) of them (at most |line|); grouping that
+    line by lattice tuples guarantees guaranteed_groups groups with at
+    least ``threshold`` of them, each forcing ``repeats`` representations
+    of one of the line's V collision values. ``parts`` parts absorb at
+    most capacity = parts*g*V, so a branch exceeds it when
+    guaranteed_groups * repeats > capacity."""
+    branches = []
+    for line, other in ((right, left), (left, right)):
+        n_groups = line.params["lattice_size"]
+        row_mass = min(-(-mass // other.size()), line.size())
+        groups = _pigeonhole_groups(row_mass, n_groups, line.params["k"], threshold)
+        values = sum(len(s) for s in pair_collision_values(line).values())
+        capacity = parts * g * values
+        branches.append({
+            "groups": n_groups,
+            "row_mass": row_mass,
+            "guaranteed_groups": groups,
+            "collision_value_count": values,
+            "capacity": capacity,
+            "exceeds": groups * repeats > capacity,
+        })
+    return branches
 
 
 @dataclass
@@ -335,22 +338,18 @@ class MixedCertificate:
     differences.
 
     Whichever kind carries at least half the product mass pins one row
-    (or column); grouping that line by lattice tuples, an exact pigeonhole
-    guarantees T_min groups with at least ceil(k/3) marked elements, and
-    with parts < k/3 each such group forces a same-part pair. Both the
-    sum branch (over the right factor) and the diff branch (over the left
-    factor) must then exceed their capacity g*V for the verdict to hold.
+    (or column), and the density pigeonhole with threshold ceil(k/3)
+    guarantees T_min groups; with parts < k/3 each such group forces a
+    same-part pair. Both the sum branch (over the right factor) and the
+    diff branch (over the left factor) must then exceed their capacity
+    parts*g*V for the verdict to hold.
     """
 
-    g: int
-    parts: int
-    k: int
     applicable: bool
     threshold: int
     sum_branch: dict
     diff_branch: dict
     verdict: bool
-    params: dict
 
 
 def mixed_certificate(family: SetFamily, g: int, parts: int) -> MixedCertificate:
@@ -360,28 +359,16 @@ def mixed_certificate(family: SetFamily, g: int, parts: int) -> MixedCertificate
     k = left.params["k"]
     applicable = parts <= k // 3 - 1
     threshold = -(-k // 3)  # ceil(k/3)
-    total = left.size() * right.size()
-    half = -(-total // 2)
-    sum_branch = _line_groups(right, left, half, threshold)
-    diff_branch = _line_groups(left, right, half, threshold)
-    for line, branch in ((right, sum_branch), (left, diff_branch)):
-        capacity = parts * g * branch["collision_value_count"]
-        branch.update(
-            line_size=line.size(),
-            capacity=capacity,
-            exceeds=branch["guaranteed_groups"] > capacity,
-        )
-    verdict = applicable and sum_branch["exceeds"] and diff_branch["exceeds"]
+    half = -(-left.size() * right.size() // 2)
+    sum_branch, diff_branch = _density_pigeonhole(left, right, g, half, threshold, 1, parts)
+    sum_branch["line_size"] = right.size()
+    diff_branch["line_size"] = left.size()
     return MixedCertificate(
-        g=g,
-        parts=parts,
-        k=k,
         applicable=applicable,
         threshold=threshold,
         sum_branch=sum_branch,
         diff_branch=diff_branch,
-        verdict=verdict,
-        params={"n": left.params["n"], "total": total},
+        verdict=applicable and sum_branch["exceeds"] and diff_branch["exceeds"],
     )
 
 
@@ -390,22 +377,19 @@ class NoLargeSubsetCertificate:
     """Certificate that no subset of relative size delta' of the product
     family is bounded-repetition for sums or for differences.
 
-    A hypothetical dense subset pins a row with at least ceil(delta'*k*N)
-    marked elements; the exact group pigeonhole yields T_min groups each
-    holding >= ceil(delta'*k/2) elements and hence C(threshold, 2) pairs,
-    all mapping into V collision values with at most g representations
-    each. Both branches must overflow for the verdict.
+    A hypothetical dense subset of ceil(delta'*|S|) elements runs the
+    density pigeonhole with threshold ceil(delta'*k/2): each of its T_min
+    groups holds C(threshold, 2) pairs, all mapping into V collision
+    values with at most g representations each. Both branches must
+    overflow for the verdict.
     """
 
-    g: int
     delta_prime: Fraction
-    k: int
     threshold: int
     gamma: Fraction
     sum_branch: dict
     diff_branch: dict
     verdict: bool
-    params: dict
 
 
 def no_large_bsubset_certificate(
@@ -421,31 +405,20 @@ def no_large_bsubset_certificate(
     if delta_prime * k < 4:
         raise ParameterError("need delta_prime * k / 2 >= 2")
     threshold = math.ceil(delta_prime * k / 2)
-    gamma = (delta_prime / 2) / (1 - delta_prime / 2)
-    total = left.size() * right.size()
-    subset_mass = math.ceil(delta_prime * total)
     pairs_per_group = math.comb(threshold, 2)
-    sum_branch = _line_groups(right, left, subset_mass, threshold)
-    diff_branch = _line_groups(left, right, subset_mass, threshold)
-    for branch in (sum_branch, diff_branch):
-        pair_mass = branch["guaranteed_groups"] * pairs_per_group
-        capacity = g * branch["collision_value_count"]
-        branch.update(
-            pairs_per_group=pairs_per_group,
-            pair_mass=pair_mass,
-            capacity=capacity,
-            exceeds=pair_mass > capacity,
-        )
+    mass = math.ceil(delta_prime * left.size() * right.size())
+    branches = _density_pigeonhole(left, right, g, mass, threshold, pairs_per_group, 1)
+    for branch in branches:
+        branch["pairs_per_group"] = pairs_per_group
+        branch["pair_mass"] = branch["guaranteed_groups"] * pairs_per_group
+    sum_branch, diff_branch = branches
     return NoLargeSubsetCertificate(
-        g=g,
         delta_prime=delta_prime,
-        k=k,
         threshold=threshold,
-        gamma=gamma,
+        gamma=(delta_prime / 2) / (1 - delta_prime / 2),
         sum_branch=sum_branch,
         diff_branch=diff_branch,
         verdict=sum_branch["exceeds"] and diff_branch["exceeds"],
-        params={"n": left.params["n"], "total": total},
     )
 
 

@@ -188,16 +188,23 @@ def elements_from_dict(data: dict):
         return family_from_dict(data).union_values()
     if schema != ELEMENTS_SCHEMA:
         raise ParameterError(f"unrecognized schema {schema!r}")
+    if not isinstance(data.get("elements"), list):
+        raise ParameterError("elements file has no elements list")
     return [parse_element(e) for e in data["elements"]]
 
 
 def parse_element(entry):
+    """An element as an int (or a pair of ints). Text that is neither
+    decimal nor sparse balanced base-5 is a ParameterError."""
     if isinstance(entry, bool):
         raise ParameterError(f"cannot parse element {entry!r}")
     if isinstance(entry, int):
         return entry
     if isinstance(entry, str):
-        return DigitVector.parse(entry).to_integer()
+        try:
+            return DigitVector.parse(entry).to_integer()
+        except ValueError as exc:
+            raise ParameterError(f"element {entry[:40]!r}: {exc}") from None
     if isinstance(entry, list) and len(entry) == 2:
         return tuple(parse_element(c) for c in entry)
     raise ParameterError(f"cannot parse element {entry!r}")

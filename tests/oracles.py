@@ -3,15 +3,25 @@
 These deliberately avoid the library's counting machinery: plain dict
 tallies over explicit pair loops, literal quadruple scans, and exhaustive
 partition enumeration. Slow but obviously correct. The dict-based
-minimum-union search and the census matchers at the end are previous
-implementations, kept as step-by-step references.
+minimum-union search, the census matchers and the product certificates
+at the end are previous implementations, kept as step-by-step references.
 """
 
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from b2sets.analyze import _family_mode
-from b2sets.decompose import Decomposition, SearchResult
+from b2sets.construct import SetFamily
+from b2sets.decompose import (
+    Decomposition,
+    SearchResult,
+    _pigeonhole_groups,
+    _product_factors,
+    pair_collision_values,
+)
+from b2sets.errors import ParameterError
 
 
 def vadd(a, b):
@@ -545,3 +555,152 @@ def _is_swap_pattern(reps, mode):
     ):
         return True, (a1.vector_index, b1.vector_index)
     return False, None
+
+
+# -- the product certificates with a capacity loop each, kept as a reference
+#
+# Each certificate calls ``_line_groups`` once per branch and writes its own
+# capacity rule; the library runs one density pigeonhole for both, and must
+# report every branch key and value, threshold, gamma and verdict these do.
+
+
+def _line_groups(line: SetFamily, other: SetFamily, mass: int, threshold: int) -> dict:
+    """The densest-line pigeonhole of a product subset holding ``mass``
+    elements: one of the |other| copies of ``line`` holds at least
+    row_mass = ceil(mass / |other|) of them (at most |line|), and grouping
+    that line by lattice tuples guarantees guaranteed_groups groups with
+    at least ``threshold`` of them, each pair of which repeats one of the
+    line family's collision values."""
+    n_groups = line.params["lattice_size"]
+    row_mass = min(-(-mass // other.size()), line.size())
+    return {
+        "groups": n_groups,
+        "row_mass": row_mass,
+        "guaranteed_groups": _pigeonhole_groups(
+            row_mass, n_groups, line.params["k"], threshold
+        ),
+        "collision_value_count": sum(
+            len(s) for s in pair_collision_values(line).values()
+        ),
+    }
+
+
+@dataclass
+class MixedCertificate:
+    """Certificate that the product family admits no mixed decomposition
+    into ``parts`` parts, each bounded-repetition for sums or for
+    differences.
+
+    Whichever kind carries at least half the product mass pins one row
+    (or column); grouping that line by lattice tuples, an exact pigeonhole
+    guarantees T_min groups with at least ceil(k/3) marked elements, and
+    with parts < k/3 each such group forces a same-part pair. Both the
+    sum branch (over the right factor) and the diff branch (over the left
+    factor) must then exceed their capacity g*V for the verdict to hold.
+    """
+
+    g: int
+    parts: int
+    k: int
+    applicable: bool
+    threshold: int
+    sum_branch: dict
+    diff_branch: dict
+    verdict: bool
+    params: dict
+
+
+def mixed_certificate(family: SetFamily, g: int, parts: int) -> MixedCertificate:
+    left, right = _product_factors(family)
+    if g < 1 or parts < 1:
+        raise ParameterError("g and parts must be >= 1")
+    k = left.params["k"]
+    applicable = parts <= k // 3 - 1
+    threshold = -(-k // 3)  # ceil(k/3)
+    total = left.size() * right.size()
+    half = -(-total // 2)
+    sum_branch = _line_groups(right, left, half, threshold)
+    diff_branch = _line_groups(left, right, half, threshold)
+    for line, branch in ((right, sum_branch), (left, diff_branch)):
+        capacity = parts * g * branch["collision_value_count"]
+        branch.update(
+            line_size=line.size(),
+            capacity=capacity,
+            exceeds=branch["guaranteed_groups"] > capacity,
+        )
+    verdict = applicable and sum_branch["exceeds"] and diff_branch["exceeds"]
+    return MixedCertificate(
+        g=g,
+        parts=parts,
+        k=k,
+        applicable=applicable,
+        threshold=threshold,
+        sum_branch=sum_branch,
+        diff_branch=diff_branch,
+        verdict=verdict,
+        params={"n": left.params["n"], "total": total},
+    )
+
+
+@dataclass
+class NoLargeSubsetCertificate:
+    """Certificate that no subset of relative size delta' of the product
+    family is bounded-repetition for sums or for differences.
+
+    A hypothetical dense subset pins a row with at least ceil(delta'*k*N)
+    marked elements; the exact group pigeonhole yields T_min groups each
+    holding >= ceil(delta'*k/2) elements and hence C(threshold, 2) pairs,
+    all mapping into V collision values with at most g representations
+    each. Both branches must overflow for the verdict.
+    """
+
+    g: int
+    delta_prime: Fraction
+    k: int
+    threshold: int
+    gamma: Fraction
+    sum_branch: dict
+    diff_branch: dict
+    verdict: bool
+    params: dict
+
+
+def no_large_bsubset_certificate(
+    family: SetFamily, g: int, delta_prime
+) -> NoLargeSubsetCertificate:
+    left, right = _product_factors(family)
+    delta_prime = Fraction(delta_prime)
+    if not 0 < delta_prime <= 1:
+        raise ParameterError("delta_prime must lie in (0, 1]")
+    if g < 1:
+        raise ParameterError("g must be >= 1")
+    k = left.params["k"]
+    if delta_prime * k < 4:
+        raise ParameterError("need delta_prime * k / 2 >= 2")
+    threshold = math.ceil(delta_prime * k / 2)
+    gamma = (delta_prime / 2) / (1 - delta_prime / 2)
+    total = left.size() * right.size()
+    subset_mass = math.ceil(delta_prime * total)
+    pairs_per_group = math.comb(threshold, 2)
+    sum_branch = _line_groups(right, left, subset_mass, threshold)
+    diff_branch = _line_groups(left, right, subset_mass, threshold)
+    for branch in (sum_branch, diff_branch):
+        pair_mass = branch["guaranteed_groups"] * pairs_per_group
+        capacity = g * branch["collision_value_count"]
+        branch.update(
+            pairs_per_group=pairs_per_group,
+            pair_mass=pair_mass,
+            capacity=capacity,
+            exceeds=pair_mass > capacity,
+        )
+    return NoLargeSubsetCertificate(
+        g=g,
+        delta_prime=delta_prime,
+        k=k,
+        threshold=threshold,
+        gamma=gamma,
+        sum_branch=sum_branch,
+        diff_branch=diff_branch,
+        verdict=sum_branch["exceeds"] and diff_branch["exceeds"],
+        params={"n": left.params["n"], "total": total},
+    )

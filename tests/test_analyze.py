@@ -29,6 +29,7 @@ from b2sets.analyze import (
     rep_profile,
     subset_doubling_audit,
 )
+from b2sets.cli import main
 from b2sets.construct import Part, SetFamily, build_product, build_w, build_w_circ
 from b2sets.decompose import exact_min_union, greedy_union
 from b2sets.errors import ParameterError, ResourceCap
@@ -635,6 +636,17 @@ class TestAudit:
         b = subset_doubling_audit(vals, "sample", p)
         assert a.min_sum_ratio == b.min_sum_ratio
         assert a.argmin_sum == b.argmin_sum
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_sampled_audit_needs_a_trial(self, trials):
+        # no draw leaves no minimum to report; the exhaustive walk ignores trials
+        vals = list(range(8))
+        with pytest.raises(ParameterError):
+            subset_doubling_audit(vals, "sample", AuditParams(trials=trials))
+        res = subset_doubling_audit(vals, "exhaustive", AuditParams(min_size=7, trials=trials))
+        assert res.subsets_examined == 9
+        argv = ["analyze", "--values", "0,1,2,3,4,5,6,7", "--check", "audit"]
+        assert main([*argv, "--trials", str(trials)]) == 2
 
     def test_exhaustive_cap(self):
         with pytest.raises(ResourceCap):

@@ -131,6 +131,35 @@ class TestAnalyze:
         assert main(["analyze", "nope.json", "--check", "b2"]) == 2
 
 
+ELEMENTS = "b2sets.elements/1"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "1,abc",
+        {"schema": ELEMENTS},
+        {"schema": ELEMENTS, "elements": 5},
+        {"schema": ELEMENTS, "elements": ["7*5^3"]},
+        {"schema": ELEMENTS, "elements": ["7" * 4400]},
+    ],
+    ids=["values-text", "no-elements", "elements-not-list", "digit-7", "overlong-decimal"],
+)
+def test_malformed_elements_are_a_config_error(source, tmp_path, capsys):
+    # bad text, a digit outside [-2, 2] and a decimal past the int-string
+    # limit (4,300 digits) are the user's input, not the tool's failure
+    if isinstance(source, str):
+        argv = ["--values", source]
+    else:
+        path = tmp_path / "elements.json"
+        path.write_text(json.dumps(source))
+        argv = [str(path)]
+    assert main(["analyze", *argv, "--check", "b2"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
 class TestCertifyDecompose:
     def test_certificate_pass(self, tmp_path):
         out = tmp_path / "w40.json"

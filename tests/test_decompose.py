@@ -21,8 +21,9 @@ from b2sets.decompose import (
     no_large_bsubset_certificate,
     pair_collision_values,
 )
-from b2sets.errors import ParameterError
+from b2sets.errors import EmptyConstruction, ParameterError
 
+import oracles
 from oracles import (
     brute_min_union,
     collision_values_by_formula,
@@ -65,6 +66,14 @@ class TestExactMinUnion:
         rep = exact_min_union(vals, g=1, kind="sum", max_parts=2, budget=5)
         assert rep.results[2].status == "TIMEOUT"
         assert rep.minimum is None
+
+    def test_max_parts_below_one_is_rejected(self):
+        # no part count would be searched, so no run may pass on it
+        with pytest.raises(ParameterError):
+            exact_min_union([0, 1, 3], g=1, kind="sum", max_parts=0)
+        argv = ["decompose", "--values", "0,1,3", "--g", "1", "--kind", "sum"]
+        assert main([*argv, "--max-parts", "0"]) == 2
+        assert main([*argv, "--max-parts", "1"]) == 0
 
     def test_timeout_below_blocks_minimum_claim(self):
         # a later SAT after an earlier timeout must not be called minimal
@@ -407,6 +416,65 @@ class TestNoLargeSubsetCertificate:
         assert cert.sum_branch["guaranteed_groups"] == right.params["lattice_size"]
         assert cert.sum_branch["pairs_per_group"] == 3
         assert cert.diff_branch["guaranteed_groups"] == left.params["lattice_size"]
+
+
+CERTIFICATE_FIELDS = (
+    "applicable", "threshold", "gamma", "delta_prime", "sum_branch", "diff_branch", "verdict",
+)
+# (certificate, its reference, parts or delta')
+CERTIFICATE_CALLS = [
+    *((mixed_certificate, oracles.mixed_certificate, t) for t in range(1, 5)),
+    *(
+        (no_large_bsubset_certificate, oracles.no_large_bsubset_certificate, delta)
+        for delta in (1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5))
+    ),
+]
+
+
+def _certificate_outcome(certify, *args):
+    """The report fields of a product certificate, or the error class it raises."""
+    try:
+        cert = certify(*args)
+    except ParameterError as exc:
+        return type(exc)
+    return {name: getattr(cert, name) for name in CERTIFICATE_FIELDS if hasattr(cert, name)}
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_product_certificates_match_the_reference(k):
+    # every product(k, n) that builds with n <= 30, against the per-branch
+    # certificates kept in ``oracles``: the same fields, or the same error
+    built = 0
+    for n in range(1, 31):
+        try:
+            prod = build_product(k, n)
+        except EmptyConstruction:
+            continue
+        built += 1
+        for g in (1, 2, 3):
+            for certify, reference, x in CERTIFICATE_CALLS:
+                assert _certificate_outcome(certify, prod, g, x) == _certificate_outcome(
+                    reference, prod, g, x
+                ), (n, g, x)
+    assert built
+
+
+@pytest.mark.parametrize(
+    "k, certify, reference, x",
+    [
+        (3, mixed_certificate, oracles.mixed_certificate, 1),
+        (4, no_large_bsubset_certificate, oracles.no_large_bsubset_certificate, 1),
+    ],
+    ids=["mixed", "no-large"],
+)
+def test_product_certificate_branch_at_capacity(k, certify, reference, x):
+    # the only branches with k <= 8, n <= 60 and g = 1..3 whose forced
+    # count equals the capacity exactly: equality must not exceed it
+    prod = build_product(k, 36)
+    branch = certify(prod, 1, x).sum_branch
+    assert branch["guaranteed_groups"] * branch.get("pairs_per_group", 1) == branch["capacity"]
+    assert not branch["exceeds"]
+    assert _certificate_outcome(certify, prod, 1, x) == _certificate_outcome(reference, prod, 1, x)
 
 
 class TestMeyerExtract:
