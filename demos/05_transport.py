@@ -16,7 +16,6 @@ from b2sets import (
     is_b2_circ,
     subset_doubling_audit,
     translate,
-    AuditParams,
 )
 
 print("== embedding planar points into the integers ==")
@@ -38,9 +37,7 @@ for g in (1, 2):
     print(f"  B2o[{g}] before/after: {before}/{after}")
 
 print("\n== subsets of the product keep large doubling ==")
-audit = subset_doubling_audit(
-    pairs, "sample", AuditParams(min_size=4, trials=2000, seed=3)
-)
+audit = subset_doubling_audit(pairs, "sample", min_size=4, trials=2000, seed=3)
 print(f"min |A'+A'|/|A'|^2 over {audit.subsets_examined} sampled subsets:"
       f" {audit.min_sum_ratio} (never below 1/20)")
 

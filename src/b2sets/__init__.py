@@ -9,7 +9,6 @@ and produces finite pigeonhole certificates that rule decompositions out.
 """
 
 from .analyze import (
-    AuditParams,
     additive_energy,
     collision_census,
     family_sumset_disjointness,

@@ -72,8 +72,11 @@ def canonical_key(x):
 
 def canonical_keys(elements):
     """Distinct elements as int keys, and the decoder that turns a key, or
-    a sum or difference of two keys, back into an element-space value."""
+    a sum or difference of two keys, back into an element-space value. An
+    empty set is a ParameterError: no check has anything to verify."""
     points = [canonical_key(x) for x in elements]
+    if not points:
+        raise ParameterError("the set is empty")
     if len(set(points)) != len(points):
         raise ParameterError("elements must be distinct")
     return _int_keys(points)
@@ -86,13 +89,12 @@ def _int_keys(points):
     the first coordinate is the most significant and the base, five times
     the largest coordinate magnitude, exceeds four times it: key order is
     the lexicographic order of the points, and a key difference has the
-    sign of the first nonzero coordinate difference. The base is 0 only
-    for a lone origin, whose keys and pair values are all 0.
+    sign of the first nonzero coordinate difference.
     """
     if not any(isinstance(p, tuple) for p in points):
         return points, _identity
     emb = f2_embed([p[::-1] if isinstance(p, tuple) else p for p in points])
-    return list(emb.image), _point_decoder(emb.base or 1, len(emb.points[0]))
+    return list(emb.image), lambda value: emb.decode(value)[::-1]
 
 
 def _identity(value):
@@ -104,23 +106,6 @@ def _decoded(mapping, decode):
     if decode is _identity:
         return mapping
     return {decode(v): x for v, x in mapping.items()}
-
-
-def _point_decoder(base, dim):
-    # A coordinate of a sum or difference of two points is at most twice
-    # the largest coordinate magnitude, below base/2, so the balanced
-    # base-``base`` digits of the image are the coordinates.
-    half = base // 2
-
-    def decode(value):
-        value //= base
-        coords = []
-        for _ in range(dim):
-            value, digit = divmod(value + half, base)
-            coords.append(digit - half)
-        return tuple(reversed(coords))
-
-    return decode
 
 
 # -- the pair kernel ---------------------------------------------------------
@@ -336,8 +321,6 @@ def rep_profile(elements, mode: str) -> RepProfile:
 @dataclass
 class BVerdict:
     passed: bool
-    mode: str
-    g: int
     max_count: int
     witness: Witness | None
 
@@ -360,7 +343,7 @@ def _bounded_repetition(elements, g: int, mode: str) -> BVerdict:
     prof = rep_profile(elements, mode)
     passed = prof.max_count <= g
     witness = prof.witnesses[0] if not passed and prof.witnesses else None
-    return BVerdict(passed, mode, g, prof.max_count, witness)
+    return BVerdict(passed, prof.max_count, witness)
 
 
 # -- additive energy ---------------------------------------------------------
@@ -389,8 +372,6 @@ class EnergyReport:
 def additive_energy(elements) -> EnergyReport:
     keys, _ = canonical_keys(elements)
     n = len(keys)
-    if n < 1:
-        raise ParameterError("additive_energy requires at least one element")
     if n * n > ENERGY_PAIR_BUDGET:
         raise ResourceCap(f"{n}^2 pairs exceed the budget {ENERGY_PAIR_BUDGET}")
     _, desc = _descending(keys)
@@ -494,7 +475,6 @@ class CollisionRecord:
 @dataclass
 class CensusReport:
     mode: str
-    family_kind: str
     n_elements: int
     records: list[CollisionRecord]
     predicted: int
@@ -545,7 +525,6 @@ def collision_census(family: SetFamily, mode: str) -> CensusReport:
         )
     return CensusReport(
         mode=mode,
-        family_kind=family.kind,
         n_elements=len(elems),
         records=records,
         predicted=predicted,
@@ -650,14 +629,6 @@ def _is_swap_pattern(reps, mode):
 
 
 @dataclass
-class AuditParams:
-    min_size: int = 4
-    trials: int = 1000
-    seed: int = 0
-    max_size: int | None = None
-
-
-@dataclass
 class AuditResult:
     mode: str
     n_elements: int
@@ -666,10 +637,12 @@ class AuditResult:
     min_diff_ratio: Fraction
     argmin_sum: list
     argmin_diff: list
-    params: AuditParams
 
 
-def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResult:
+def subset_doubling_audit(
+    elements, mode: str, *, min_size: int = 4, trials: int = 1000, seed: int = 0,
+    max_size: int | None = None,
+) -> AuditResult:
     """Minimum |A'+A'| / |A'|^2 and |A'-A'| / |A'|^2 over subsets A'.
 
     ``exhaustive`` examines every subset of size >= min_size (|A| <= 20)
@@ -689,9 +662,9 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
     items = list(elements)
     keys, _ = canonical_keys(items)
     n = len(keys)
-    if params.min_size < 2:
+    if min_size < 2:
         raise ParameterError("min_size must be >= 2")
-    if n < params.min_size:
+    if n < min_size:
         raise ParameterError("fewer elements than min_size")
 
     if mode == "exhaustive":
@@ -700,20 +673,20 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
                 f"exhaustive audit limited to {EXHAUSTIVE_AUDIT_LIMIT} elements"
             )
         examined, (best_sum, argmin_sum), (best_diff, argmin_diff) = _exhaustive_minima(
-            keys, params.min_size
+            keys, min_size
         )
     elif mode == "sample":
-        hi = min(params.max_size if params.max_size is not None else n, n)
-        if hi < params.min_size:
+        hi = min(max_size if max_size is not None else n, n)
+        if hi < min_size:
             raise ParameterError("max_size below min_size")
-        if params.trials < 1:
+        if trials < 1:
             raise ParameterError("trials must be >= 1")
-        examined = params.trials
+        examined = trials
         best_sum = best_diff = None
         argmin_sum = argmin_diff = ()
-        rng = random.Random(params.seed)
-        for _ in range(params.trials):
-            s = rng.randint(params.min_size, hi)
+        rng = random.Random(seed)
+        for _ in range(trials):
+            s = rng.randint(min_size, hi)
             indices = sorted(rng.sample(range(n), s))
             desc = sorted((keys[i] for i in indices), reverse=True)
             rs = Fraction(len(set(_pair_values(desc, "sum"))), s * s)
@@ -733,7 +706,6 @@ def subset_doubling_audit(elements, mode: str, params: AuditParams) -> AuditResu
         min_diff_ratio=best_diff,
         argmin_sum=[items[i] for i in argmin_sum],
         argmin_diff=[items[i] for i in argmin_diff],
-        params=params,
     )
 
 

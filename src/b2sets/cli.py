@@ -7,10 +7,10 @@ byte-identical output. Wall-clock timing goes to stderr only, never into
 the report.
 
 Exit codes: 0 pass, 1 verdict failure, 2 configuration error (an edited
-family file, malformed element text, or an element file that cannot be
-read included), 3 resource cap exceeded or out of memory, 4 search
-timeout, 5 internal failure (a check of the tool's own work failed, or an
-unexpected exception, whose traceback goes to stderr).
+family file, malformed element text, an empty set, or an element file
+that cannot be read included), 3 resource cap exceeded or out of memory,
+4 search timeout, 5 internal failure (a check of the tool's own work
+failed, or an unexpected exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from pathlib import Path
 
 from . import __version__
 from .analyze import (
-    AuditParams,
     additive_energy,
     collision_census,
     family_sumset_disjointness,
@@ -43,7 +42,6 @@ from .decompose import (
     no_large_bsubset_certificate,
 )
 from .errors import (
-    B2SetsError,
     EmptyConstruction,
     InternalVerificationFailure,
     ParameterError,
@@ -58,6 +56,7 @@ from .io import (
     family_to_dict,
     parse_element,
     read_json,
+    save_family,
 )
 
 EXIT_PASS = 0
@@ -141,13 +140,11 @@ def _add_common(p):
 
 def cmd_build(args) -> int:
     family = build_family(args.kind, args.k, args.n, args.nmax, args.element_cap)
-    payload = family_to_dict(family)
-    text = canonical_json(payload)
     if args.out:
-        Path(args.out).write_text(text)
+        save_family(family, args.out)
         print(f"wrote {args.out}: {family.describe()}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(canonical_json(family_to_dict(family)))
     for w in family.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return EXIT_PASS
@@ -232,8 +229,9 @@ def cmd_analyze(args) -> int:
             )
         )
     elif check == "audit":
-        params = AuditParams(**_fields(args, "min_size", "trials", "seed", "max_size"))
-        rep = subset_doubling_audit(elements, args.audit_mode, params)
+        rep = subset_doubling_audit(
+            elements, args.audit_mode, **_fields(args, "min_size", "trials", "seed", "max_size")
+        )
         results["audit"] = _fields(
             rep, "mode", "subsets_examined", "min_sum_ratio", "min_diff_ratio"
         )
@@ -242,8 +240,7 @@ def cmd_analyze(args) -> int:
     return _finish(args, "analyze", config, results, verdicts)
 
 
-def _counting_sketch(cert, parts: int, g: int) -> str:
-    k = cert.params["k"]
+def _counting_sketch(cert, parts: int, g: int, k: int) -> str:
     if not cert.applicable:
         return (
             f"not applicable (t >= k): the {k} elements of a lattice tuple can "
@@ -297,7 +294,7 @@ def cmd_certify(args) -> int:
             cert, "kind", "lhs", "collision_value_count", "capacity", "formula_lower_bound",
             certificate="counting",
             per_pair_counts={f"{i},{j}": c for (i, j), c in cert.per_pair_counts.items()},
-            sketch=_counting_sketch(cert, args.parts, args.g),
+            sketch=_counting_sketch(cert, args.parts, args.g, family.params["k"]),
         )
         verdict = _verdict(
             f"counting-certificate[g={args.g}, t={args.parts}]",
@@ -336,8 +333,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_embed(args) -> int:
     elements, _family = _load_set(args)
-    config = _fields(args, "setfile", "threshold")
-    emb = f2_embed(elements, verify_threshold=args.threshold)
+    config = _fields(args, "setfile", threshold=EMBED_VERIFY_THRESHOLD)
+    emb = f2_embed(elements)
     results = _fields(
         emb, "base", "verification",
         dimension=len(emb.points[0]),
@@ -419,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="embed a finite point set into the integers")
     p.add_argument("setfile", nargs="?")
     p.add_argument("--values", help="comma-separated decimal or sparse elements")
-    p.add_argument("--threshold", type=int, default=EMBED_VERIFY_THRESHOLD)
     _add_common(p)
     p.set_defaults(func=cmd_embed)
 
@@ -448,9 +444,6 @@ def main(argv=None) -> int:
     except InternalVerificationFailure as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except B2SetsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:
         import traceback  # loaded only on this path, off the startup cost
 

@@ -406,6 +406,21 @@ class F2Embedding:
     image: tuple[int, ...]
     verification: str  # "exhaustive" | "certified"
 
+    def decode(self, value: int) -> tuple[int, ...]:
+        """The point mapped to ``value``: an image, or a sum or difference
+        of two images. Each coordinate is then below base/2 in magnitude,
+        so the balanced base-``base`` digits of value / base are the
+        coordinates. The base is 0 only for a lone origin, whose images
+        and their sums and differences are all 0."""
+        base = self.base or 1
+        half = base // 2
+        value //= base
+        coords = []
+        for _ in self.points[0]:
+            value, digit = divmod(value + half, base)
+            coords.append(digit - half)
+        return tuple(coords)
+
 
 def _as_point(x) -> tuple[int, ...]:
     if isinstance(x, tuple):
@@ -446,9 +461,11 @@ def relations_preserved(domain: list, image: list[int]) -> bool:
     return True
 
 
-def f2_embed(points, verify_threshold: int = EMBED_VERIFY_THRESHOLD) -> F2Embedding:
+def f2_embed(points) -> F2Embedding:
     """Embed a finite set of d-dimensional integer points into Z via
-    point -> sum_i point[i] * base^(i+1) with base = 5 * max |coordinate|."""
+    point -> sum_i point[i] * base^(i+1) with base = 5 * max |coordinate|.
+    Up to EMBED_VERIFY_THRESHOLD points, every relation is also checked
+    pairwise."""
     pts = [_as_point(p) for p in points]
     if not pts:
         raise ParameterError("f2_embed requires a nonempty set")
@@ -463,7 +480,7 @@ def f2_embed(points, verify_threshold: int = EMBED_VERIFY_THRESHOLD) -> F2Embedd
     image = tuple(sum(c * powers[i] for i, c in enumerate(p)) for p in pts)
     if len(set(image)) != len(image):
         raise InternalVerificationFailure("embedding image is not injective")
-    if len(pts) <= verify_threshold:
+    if len(pts) <= EMBED_VERIFY_THRESHOLD:
         if not relations_preserved(pts, list(image)):
             raise InternalVerificationFailure(
                 "embedding failed the pairwise relation check"

@@ -34,7 +34,6 @@ DEFAULT_NODE_BUDGET = 2_000_000
 @dataclass
 class Decomposition:
     assignment: list[int]  # element index -> part index (0-based)
-    g: int
     parts_used: int
 
     def parts(self, elements) -> list[list]:
@@ -50,13 +49,10 @@ class SearchResult:
     parts: int
     decomposition: Decomposition | None
     nodes_explored: int
-    budget: int
 
 
 @dataclass
 class MinUnionReport:
-    kind: str
-    g: int
     results: dict[int, SearchResult]
     minimum: int | None
     order: list[int]  # element indices in search order
@@ -129,7 +125,7 @@ def exact_min_union(
             break
         if res.status != "UNSAT":
             all_smaller_unsat = False
-    return MinUnionReport(kind=kind, g=g, results=results, minimum=minimum, order=order)
+    return MinUnionReport(results=results, minimum=minimum, order=order)
 
 
 def _search_t(ids, order, g, t, budget) -> SearchResult:
@@ -152,7 +148,7 @@ def _search_t(ids, order, g, t, budget) -> SearchResult:
         if p < limit:
             nodes += 1
             if nodes > budget:
-                return SearchResult("TIMEOUT", t, None, nodes, budget)
+                return SearchResult("TIMEOUT", t, None, nodes)
             link, part, count = ids[order[idx]], members[p], counts[p]
             part.append(order[idx])
             vids = list(filter(None, map(link.get, part)))  # ids are never 0
@@ -169,13 +165,13 @@ def _search_t(ids, order, g, t, budget) -> SearchResult:
             p, vids, limit = stack.pop()
             idx -= 1
         else:
-            return SearchResult("UNSAT", t, None, nodes, budget)
+            return SearchResult("UNSAT", t, None, nodes)
         members[p].pop()
         for v in vids:
             counts[p][v] -= 1
         p += 1
-    deco = Decomposition(assignment=[entry[0] for entry in stack], g=g, parts_used=t)
-    return SearchResult("SAT", t, deco, nodes, budget)
+    deco = Decomposition(assignment=[entry[0] for entry in stack], parts_used=t)
+    return SearchResult("SAT", t, deco, nodes)
 
 
 def _verify_decomposition(items, deco: Decomposition, g, kind):
@@ -196,7 +192,7 @@ def greedy_union(elements, g: int, kind: str) -> Decomposition:
     keys, _ = canonical_keys(items)
     ids, _ = _pair_ids(keys, kind)
     assignment = _search_t(ids, range(len(keys)), g, len(keys), math.inf).decomposition.assignment
-    deco = Decomposition(assignment=assignment, g=g, parts_used=max(assignment, default=-1) + 1)
+    deco = Decomposition(assignment=assignment, parts_used=max(assignment) + 1)
     _verify_decomposition(items, deco, g, kind)
     return deco
 
@@ -250,7 +246,6 @@ class CountingCertificate:
     verdict: bool
     formula_lower_bound: int
     per_pair_counts: dict
-    params: dict
 
 
 def counting_certificate(family: SetFamily, g: int, parts: int) -> CountingCertificate:
@@ -281,7 +276,6 @@ def counting_certificate(family: SetFamily, g: int, parts: int) -> CountingCerti
         verdict=applicable and lhs > capacity,
         formula_lower_bound=formula,
         per_pair_counts={pair: len(s) for pair, s in value_sets.items()},
-        params={"k": k, "n": n, "d": d, "m": m},
     )
 
 

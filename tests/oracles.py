@@ -380,7 +380,7 @@ def _search_t(keys, g, kind, t, budget) -> SearchResult:
         if p < limit:
             nodes += 1
             if nodes > budget:
-                return SearchResult("TIMEOUT", t, None, nodes, budget)
+                return SearchResult("TIMEOUT", t, None, nodes)
             part = parts[p]
             vals = part.deltas(keys[idx], kind)
             if part.fits(vals, g):
@@ -395,9 +395,9 @@ def _search_t(keys, g, kind, t, budget) -> SearchResult:
             parts[p].remove(keys[idx], vals)
             p += 1
         else:
-            return SearchResult("UNSAT", t, None, nodes, budget)
-    deco = Decomposition(assignment=[entry[0] for entry in stack], g=g, parts_used=t)
-    return SearchResult("SAT", t, deco, nodes, budget)
+            return SearchResult("UNSAT", t, None, nodes)
+    deco = Decomposition(assignment=[entry[0] for entry in stack], parts_used=t)
+    return SearchResult("SAT", t, deco, nodes)
 
 
 def fail_first_order(keys, kind):

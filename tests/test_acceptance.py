@@ -16,7 +16,6 @@ from itertools import combinations
 import pytest
 
 from b2sets.analyze import (
-    AuditParams,
     additive_energy,
     collision_census,
     family_sumset_disjointness,
@@ -200,17 +199,20 @@ def test_criterion_05_energy_identities(
 def test_criterion_06_subset_doubling(family_w, family_wcirc, family_product):
     with _Timer() as t:
         w_slice = interleaved_slice(family_w, 16)
-        res_w = subset_doubling_audit(w_slice, "exhaustive", AuditParams(min_size=4))
+        res_w = subset_doubling_audit(w_slice, "exhaustive", min_size=4)
         ok = res_w.min_sum_ratio >= Fraction(1, 3)
         ok = ok and res_w.min_diff_ratio >= Fraction(1, 3)
         wc_slice = interleaved_slice(family_wcirc, 16)
-        res_wc = subset_doubling_audit(wc_slice, "exhaustive", AuditParams(min_size=4))
+        res_wc = subset_doubling_audit(wc_slice, "exhaustive", min_size=4)
         ok = ok and res_wc.min_sum_ratio >= Fraction(1, 4)
         ok = ok and res_wc.min_diff_ratio >= Fraction(1, 4)
         res_p = subset_doubling_audit(
             family_product.union_values(),
             "sample",
-            AuditParams(min_size=4, trials=10**4, seed=11, max_size=48),
+            min_size=4,
+            trials=10**4,
+            seed=11,
+            max_size=48,
         )
         ok = ok and res_p.min_sum_ratio >= Fraction(1, 20)
         ok = ok and res_p.min_diff_ratio >= Fraction(1, 20)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import os
@@ -17,7 +18,6 @@ import b2sets
 import b2sets.analyze as analyze
 from b2sets.analyze import (
     RESIDUE_PRIME,
-    AuditParams,
     AuditResult,
     _family_mode,
     additive_energy,
@@ -614,16 +614,24 @@ class TestCensus:
             assert (rec.classification, rec.pattern, rec.part_pair) == expected
 
 
+# the keyword defaults of the audit, which the brute-force replay needs in full
+AUDIT_DEFAULTS = {
+    name: p.default
+    for name, p in inspect.signature(subset_doubling_audit).parameters.items()
+    if p.kind is p.KEYWORD_ONLY
+}
+
+
 class TestAudit:
     def test_ap_ratio(self):
         ap = list(range(8))
-        res = subset_doubling_audit(ap, "exhaustive", AuditParams(min_size=8))
+        res = subset_doubling_audit(ap, "exhaustive", min_size=8)
         assert res.min_sum_ratio == Fraction(15, 64)  # (2m-1) / m^2
         assert res.subsets_examined == 1
 
     def test_exhaustive_small(self):
         vals = [0, 1, 2, 4, 8, 13]
-        res = subset_doubling_audit(vals, "exhaustive", AuditParams(min_size=2))
+        res = subset_doubling_audit(vals, "exhaustive", min_size=2)
         assert res.subsets_examined == 2**6 - 1 - 6
         # verify the reported minimum against a direct scan of one subset
         sub = res.argmin_sum
@@ -631,9 +639,9 @@ class TestAudit:
 
     def test_sampled_deterministic(self):
         vals = list(range(0, 60, 3))
-        p = AuditParams(min_size=4, trials=50, seed=9)
-        a = subset_doubling_audit(vals, "sample", p)
-        b = subset_doubling_audit(vals, "sample", p)
+        p = dict(min_size=4, trials=50, seed=9)
+        a = subset_doubling_audit(vals, "sample", **p)
+        b = subset_doubling_audit(vals, "sample", **p)
         assert a.min_sum_ratio == b.min_sum_ratio
         assert a.argmin_sum == b.argmin_sum
 
@@ -642,46 +650,46 @@ class TestAudit:
         # no draw leaves no minimum to report; the exhaustive walk ignores trials
         vals = list(range(8))
         with pytest.raises(ParameterError):
-            subset_doubling_audit(vals, "sample", AuditParams(trials=trials))
-        res = subset_doubling_audit(vals, "exhaustive", AuditParams(min_size=7, trials=trials))
+            subset_doubling_audit(vals, "sample", trials=trials)
+        res = subset_doubling_audit(vals, "exhaustive", min_size=7, trials=trials)
         assert res.subsets_examined == 9
         argv = ["analyze", "--values", "0,1,2,3,4,5,6,7", "--check", "audit"]
         assert main([*argv, "--trials", str(trials)]) == 2
 
     def test_exhaustive_cap(self):
         with pytest.raises(ResourceCap):
-            subset_doubling_audit(list(range(25)), "exhaustive", AuditParams())
+            subset_doubling_audit(list(range(25)), "exhaustive")
 
     def test_b2circ2_subsets_bound(self):
         # any subset of a set whose nonzero differences repeat at most
         # twice has doubling ratio at least 1/3
         w = build_w(3, 10)
         vals = w.union_values()[:12]
-        res = subset_doubling_audit(vals, "exhaustive", AuditParams(min_size=4))
+        res = subset_doubling_audit(vals, "exhaustive", min_size=4)
         assert res.min_sum_ratio >= Fraction(1, 3)
         assert res.min_diff_ratio >= Fraction(1, 3)
 
     @pytest.mark.parametrize(
         "elements, mode, params",
         [
-            (build_w(3, 30).union_values()[:12], "exhaustive", AuditParams(min_size=4)),
-            (build_w_circ(5, 14).union_values()[::2][:12], "exhaustive", AuditParams(min_size=3)),
-            (list(range(10)), "exhaustive", AuditParams(min_size=2)),
-            (list(range(10)), "exhaustive", AuditParams(min_size=10)),
-            (list(range(-7, 40, 4)), "exhaustive", AuditParams(min_size=2)),
-            (random.Random(3).sample(range(14), 11), "exhaustive", AuditParams(min_size=3)),
-            (random.Random(8).sample(range(-9, 9), 9), "exhaustive", AuditParams(min_size=9)),
-            ([(x, y) for x in range(3) for y in range(3)], "exhaustive", AuditParams(min_size=2)),
+            (build_w(3, 30).union_values()[:12], "exhaustive", dict(min_size=4)),
+            (build_w_circ(5, 14).union_values()[::2][:12], "exhaustive", dict(min_size=3)),
+            (list(range(10)), "exhaustive", dict(min_size=2)),
+            (list(range(10)), "exhaustive", dict(min_size=10)),
+            (list(range(-7, 40, 4)), "exhaustive", dict(min_size=2)),
+            (random.Random(3).sample(range(14), 11), "exhaustive", dict(min_size=3)),
+            (random.Random(8).sample(range(-9, 9), 9), "exhaustive", dict(min_size=9)),
+            ([(x, y) for x in range(3) for y in range(3)], "exhaustive", dict(min_size=2)),
             (random.Random(5).sample([(x, y) for x in range(-3, 4) for y in range(4)], 10),
-             "exhaustive", AuditParams(min_size=4)),
+             "exhaustive", dict(min_size=4)),
             # unsorted inputs whose depth-first order differs from mask order
             # at a tie
-            ([-4, 13, 10, 15, -9, 12, 4, 2], "exhaustive", AuditParams(min_size=4)),
+            ([-4, 13, 10, 15, -9, 12, 4, 2], "exhaustive", dict(min_size=4)),
             ([(1, 1), (1, 3), (1, 0), (3, 3), (3, 0), (3, 1), (0, 0), (0, 1)],
-             "exhaustive", AuditParams(min_size=4)),
-            (build_product(3, 6).union_values(), "sample", AuditParams(trials=150, seed=5)),
+             "exhaustive", dict(min_size=4)),
+            (build_product(3, 6).union_values(), "sample", dict(trials=150, seed=5)),
             # many 3-term APs among the draws: the first one drawn wins
-            (list(range(12)), "sample", AuditParams(min_size=3, max_size=3, trials=40, seed=2)),
+            (list(range(12)), "sample", dict(min_size=3, max_size=3, trials=40, seed=2)),
         ],
         ids=[
             "W30-slice", "Wcirc14-slice", "range10-min2", "range10-min10", "ap12",
@@ -692,9 +700,9 @@ class TestAudit:
     def test_matches_brute_force(self, elements, mode, params):
         # ties abound in APs, dense sets and grids: the argmin must be the
         # first minimum in mask (or draw) order, as the definition scans
-        expected = brute_audit(elements, mode, **vars(params))
-        assert subset_doubling_audit(elements, mode, params) == AuditResult(
-            mode=mode, n_elements=len(elements), params=params, **expected
+        expected = brute_audit(elements, mode, **{**AUDIT_DEFAULTS, **params})
+        assert subset_doubling_audit(elements, mode, **params) == AuditResult(
+            mode=mode, n_elements=len(elements), **expected
         )
 
     def test_equal_ratios_of_two_sizes_go_to_the_smaller_mask(self):
@@ -707,10 +715,10 @@ class TestAudit:
     def test_sampled_memory_is_per_draw(self):
         # no table over all 600 points: the draws hold at most 48 points
         elements = build_product(5, 19).union_values()
-        params = AuditParams(min_size=4, trials=50, seed=11, max_size=48)
+        params = dict(min_size=4, trials=50, seed=11, max_size=48)
         tracemalloc.start()
         try:
-            subset_doubling_audit(elements, "sample", params)
+            subset_doubling_audit(elements, "sample", **params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -718,7 +726,7 @@ class TestAudit:
 
     def test_exhaustive_at_the_limit(self):
         vals = build_w(3, 30).union_values()[: analyze.EXHAUSTIVE_AUDIT_LIMIT]
-        res = subset_doubling_audit(vals, "exhaustive", AuditParams(min_size=4))
+        res = subset_doubling_audit(vals, "exhaustive", min_size=4)
         n = len(vals)
         assert res.subsets_examined == sum(math.comb(n, s) for s in range(4, n + 1))
         ints = [int(v) for v in res.argmin_sum]
@@ -733,8 +741,8 @@ class TestAudit:
         lambda xs: rep_profile(xs, "sum"),
         lambda xs: rep_profile(xs, "diff"),
         additive_energy,
-        lambda xs: subset_doubling_audit(xs, "exhaustive", AuditParams(min_size=3)),
-        lambda xs: subset_doubling_audit(xs, "sample", AuditParams(min_size=3, trials=20)),
+        lambda xs: subset_doubling_audit(xs, "exhaustive", min_size=3),
+        lambda xs: subset_doubling_audit(xs, "sample", min_size=3, trials=20),
         lambda xs: exact_min_union(xs, 1, "sum"),
         lambda xs: greedy_union(xs, 1, "diff"),
     ],

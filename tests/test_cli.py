@@ -160,6 +160,27 @@ def test_malformed_elements_are_a_config_error(source, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--check", "b2"],
+        ["analyze", "--check", "b2circ"],
+        ["analyze", "--check", "profile"],
+        ["decompose", "--g", "1", "--kind", "sum"],
+        ["decompose", "--g", "1", "--kind", "diff", "--greedy"],
+    ],
+    ids=["b2", "b2circ", "profile", "decompose", "decompose-greedy"],
+)
+def test_empty_set_is_a_config_error(argv, tmp_path, capsys):
+    # an empty set has nothing to verify or decompose: no PASS, no minimum
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"schema": ELEMENTS, "elements": []}))
+    out = tmp_path / "report.json"
+    assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestCertifyDecompose:
     def test_certificate_pass(self, tmp_path):
         out = tmp_path / "w40.json"

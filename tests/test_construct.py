@@ -267,6 +267,29 @@ class TestEmbedding:
         assert brute_relations_preserved(emb_a.points, list(emb_a.image))
         assert brute_relations_preserved([(v,) for v in emb_b.image], shifted)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_decode_inverts_images_and_their_sums_and_differences(self, dim):
+        rng = random.Random(dim)
+        for _ in range(20):
+            span = rng.choice([1, 3, 50, 10**30])
+            pts = list({
+                tuple(rng.randint(-span, span) for _ in range(dim))
+                for _ in range(rng.randint(1, 12))
+            })
+            emb = f2_embed(pts)
+            for i, (p, x) in enumerate(zip(emb.points, emb.image)):
+                assert emb.decode(x) == p
+                for q, y in zip(emb.points[i:], emb.image[i:]):
+                    assert emb.decode(x + y) == tuple(a + b for a, b in zip(p, q))
+                    assert emb.decode(x - y) == tuple(a - b for a, b in zip(p, q))
+                    assert emb.decode(y - x) == tuple(b - a for a, b in zip(p, q))
+
+    def test_decode_lone_origin(self):
+        emb = f2_embed([(0, 0, 0)])
+        assert emb.base == 0
+        assert emb.decode(emb.image[0]) == (0, 0, 0)
+        assert emb.decode(2 * emb.image[0]) == (0, 0, 0)
+
     def test_rejects(self):
         with pytest.raises(ParameterError):
             f2_embed([])

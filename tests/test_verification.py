@@ -29,7 +29,7 @@ def test_package_has_no_assert_statements():
 
 def test_meyer_failed_subset_is_a_cli_fail(tmp_path, monkeypatch):
     def failing_is_b2(values, g):
-        return BVerdict(False, "sum", g, g + 1, None)
+        return BVerdict(False, g + 1, None)
 
     monkeypatch.setattr(decompose, "is_b2", failing_is_b2)
     out = tmp_path / "meyer.json"
