@@ -34,7 +34,9 @@ Conventions, pinned once in the kernel:
   differences: smallest positive-orientation value first);
 * a profile lists the pairs of every repeated value and only counts the
   rest, since each of them occurs exactly once, so its size does not
-  depend on which counting path ran.
+  depend on which counting path ran;
+* the bounded-repetition checks read the counts only, and look up the
+  pairs of their one witness, one lookup per key.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, compress, starmap
-from operator import add, sub
+from operator import add, mul, sub
 
 from .construct import SetFamily, f2_embed
 from .digitnum import as_int
@@ -298,14 +300,7 @@ def rep_profile(elements, mode: str) -> RepProfile:
     distinct, groups = _repeated_pairs(keys, mode)
     max_count = max(map(len, groups.values()), default=min(total, 1))
     best = sorted(v for v, pairs in groups.items() if len(pairs) == max_count)
-    witnesses = [
-        Witness(
-            value=decode(v),
-            count=max_count,
-            pairs=tuple((items[i], items[j]) for i, j in sorted(groups[v])),
-        )
-        for v in best[:WITNESS_CAP]
-    ]
+    witnesses = [_witness(items, keys, decode, mode, v, max_count) for v in best[:WITNESS_CAP]]
     return RepProfile(
         mode=mode,
         n_elements=n,
@@ -338,12 +333,29 @@ def is_b2_circ(elements, g: int) -> BVerdict:
 
 
 def _bounded_repetition(elements, g: int, mode: str) -> BVerdict:
+    """The verdict from the pair counts alone; only a failing check looks
+    up pairs, those of its witness, the least value of the largest count."""
     if g < 1:
         raise ParameterError("g must be >= 1")
-    prof = rep_profile(elements, mode)
-    passed = prof.max_count <= g
-    witness = prof.witnesses[0] if not passed and prof.witnesses else None
-    return BVerdict(passed, prof.max_count, witness)
+    items = list(elements)
+    keys, decode = canonical_keys(items)
+    counts, _, _ = _count_values(sorted(keys, reverse=True), mode)
+    # above FULL_MAP_PAIR_LIMIT counts holds only the repeated values
+    max_count = max(counts.values(), default=min(_pair_total(len(keys), mode), 1))
+    if max_count <= g:
+        return BVerdict(True, max_count, None)
+    value = min(v for v, c in counts.items() if c == max_count)
+    return BVerdict(False, max_count, _witness(items, keys, decode, mode, value, max_count))
+
+
+def _witness(items, keys, decode, mode, value, count):
+    """The witness of one pair value, its pairs found by one lookup per key,
+    as input positions (i, j) in sorted order: i <= j for sums, (larger,
+    smaller) for differences."""
+    index = {k: i for i, k in enumerate(keys)}
+    partners = (index.get(value - k if mode == "sum" else k - value) for k in keys)
+    pairs = [(i, j) for i, j in enumerate(partners) if j is not None and (mode == "diff" or i <= j)]
+    return Witness(decode(value), count, tuple((items[i], items[j]) for i, j in pairs))
 
 
 # -- additive energy ---------------------------------------------------------
@@ -396,22 +408,22 @@ def additive_energy(elements) -> EnergyReport:
 
 def _sum_energy(desc):
     """Ordered sum quadruples and |A+A|. U(v) unordered pairs, a = b
-    included, give r(v) = 2U(v) - [v in 2A] ordered ones; a value missing
+    included, give r(v) = 2U(v) - [v in 2A] ordered ones, so the sum of
+    r(v)^2 is 4 sum U^2 - 4 sum_{a in A} U(2a) + |A|; a value missing
     from the counts has U(v) = 1."""
-    doubles = {k + k for k in desc}
     counts, distinct, _ = _count_values(desc, "sum")
-    once = distinct - len(counts)
-    doubles_once = sum(v not in counts for v in doubles)
-    energy = 4 * (once - doubles_once) + doubles_once
-    energy += sum((2 * c - (v in doubles)) ** 2 for v, c in counts.items())
-    return energy, distinct
+    c = list(counts.values())
+    squares = sum(map(mul, c, c)) + distinct - len(c)
+    doubles = sum(counts.get(k + k, 1) for k in desc)
+    return 4 * (squares - doubles) + len(desc), distinct
 
 
 def _diff_energy(desc):
     """Ordered difference quadruples and |A-A|. A positive value with c(v)
     pairs has c(v) ordered representations, and so has -v; zero has |A|."""
     counts, positive, _ = _count_values(desc, "diff")
-    squares = sum(c * c for c in counts.values()) + positive - len(counts)
+    c = list(counts.values())
+    squares = sum(map(mul, c, c)) + positive - len(c)
     return len(desc) ** 2 + 2 * squares, 1 + 2 * positive
 
 

@@ -300,6 +300,73 @@ class TestIsB2:
             sub = rng.sample(base, rng.randint(2, len(base)))
             assert is_b2(sub, g).passed
 
+    @staticmethod
+    def _agreement_sets():
+        rng = random.Random(41)
+        sets = [[7], [2**i for i in range(100)], _seeded_points(40, seed=3)]
+        for n in (5, 20, 45, 70):
+            for span in (2 * n + 4, 10 * n, 10**9):
+                sets.append(list({rng.randint(-span, span) for _ in range(n)}))
+        return sets
+
+    @pytest.mark.parametrize("limit", ["default", 0])
+    def test_verdicts_agree_with_profile_and_brute_force(self, limit, monkeypatch):
+        # The verdict reads counts only and looks up its witness's pairs;
+        # the profile lists every repeated value's pairs, and the oracles
+        # count every pair by brute force. All three must agree, on the
+        # full value map and on the residue path.
+        if limit != "default":
+            monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", limit)
+        checks = [(is_b2, "sum", brute_is_b2), (is_b2_circ, "diff", brute_is_b2_circ)]
+        for elements in self._agreement_sets():
+            for check, mode, brute in checks:
+                prof = rep_profile(elements, mode)
+                oracle = _oracle_counts(elements, mode)
+                top = max(oracle.values(), default=0)
+                assert prof.max_count == top
+                for g in (1, 2, 3):
+                    verdict = check(elements, g)
+                    assert verdict.passed == brute(elements, g) == (top <= g)
+                    assert verdict.max_count == top
+                    if verdict.passed:
+                        assert verdict.witness is None
+                        continue
+                    w = verdict.witness
+                    assert w == prof.witnesses[0]
+                    assert w.value == min(v for v, c in oracle.items() if c == top)
+                    assert w.count == top
+                    positions = sorted(prof.repeated[w.value])
+                    assert w.pairs == tuple((elements[i], elements[j]) for i, j in positions)
+
+    @pytest.mark.parametrize("limit", ["default", 0])
+    def test_verdicts_list_no_pair_positions(self, limit, monkeypatch):
+        # A dense set repeats nearly every pair value, so listing their
+        # positions costs as much as counting them; the verdict only counts.
+        elements = random.Random(13).sample(range(700), 300)
+        expected = {}
+        for check, mode in ((is_b2, "sum"), (is_b2_circ, "diff")):
+            prof = rep_profile(elements, mode)
+            expected[check, 1] = analyze.BVerdict(False, prof.max_count, prof.witnesses[0])
+            expected[check, 300] = analyze.BVerdict(True, prof.max_count, None)
+
+        def no_positions(*args):
+            raise AssertionError("pair positions were listed")
+
+        orders = []
+        residue_counts = analyze._residue_counts
+
+        def recording(desc, mode, order):
+            orders.append(order)
+            return residue_counts(desc, mode, order)
+
+        monkeypatch.setattr(analyze, "_pair_groups", no_positions)
+        monkeypatch.setattr(analyze, "_residue_counts", recording)
+        if limit != "default":
+            monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", limit)
+        for (check, g), verdict in expected.items():
+            assert check(elements, g) == verdict
+        assert orders == ([] if limit == "default" else [None] * len(expected))
+
 
 class TestEnergy:
     def test_frozen_examples(self):
