@@ -22,7 +22,10 @@ has a repeated residue; after one sort, only the pairs whose residue
 repeats are counted exactly as Python ints. Reported counts are exact,
 and Python-object memory stays proportional to the number of repeated
 values. numpy is imported only on that path, so calls below the limit
-never load it.
+never load it. The bounded-repetition checks and the energies skip the
+kernel on dense keys, whose span is at most DENSE_SPAN_FACTOR times their
+number: one big-int product of the keys' indicator polynomial holds every
+count in the same conventions, and no pair value is hashed.
 
 Conventions, pinned once in the kernel:
 
@@ -42,6 +45,7 @@ Conventions, pinned once in the kernel:
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +58,9 @@ from .errors import InternalVerificationFailure, ParameterError, ResourceCap
 
 ENERGY_PAIR_BUDGET = 5 * 10**7
 FULL_MAP_PAIR_LIMIT = 200_000
+# keys whose span is at most this many times their number are counted by
+# one big-int product (_dense_counts) instead of pair by pair
+DENSE_SPAN_FACTOR = 24
 # 2^61 - 31. Not 2^61 - 1, the modulus of Python's int hash: 2^i mod that
 # prime is 2^(i mod 61), so the sums of distinct powers of two would share
 # a few thousand residues.
@@ -248,6 +255,40 @@ def _pair_groups(order, desc, mode, wanted):
     return groups
 
 
+def _dense_counts(desc, mode):
+    """The count of every pair value of keys sorted in descending order,
+    as a list from its least value up, and that least value; None when the
+    keys' span exceeds DENSE_SPAN_FACTOR times their number.
+
+    Key a is slot a - min of P(x) = sum x^(a - min), packed into an int of
+    w-byte slots, w the least of 1, 2, 4, 8 that holds n + 1, so no slot
+    of a product carries. (P(x)^2 + P(x^2)) / 2 holds the unordered sums,
+    a = b once, and P(x) * x^span P(1/x) the ordered differences, the
+    positive ones in its upper half. The slots are read in native byte
+    order by the format whose item size is w.
+    """
+    n, low, high = len(desc), desc[-1], desc[0]
+    if high - low > DENSE_SPAN_FACTOR * n:
+        return None
+    span, width = high - low, next(w for w in (1, 2, 4, 8) if n + 1 < 256**w)
+    slots = bytearray(width * (span + 1))
+    for a in desc:
+        slots[width * (a - low)] = 1
+    p = int.from_bytes(slots, "little")
+    if mode == "sum":
+        doubled = bytearray(width * (2 * span + 1))
+        doubled[:: 2 * width] = slots[::width]
+        product = (p * p + int.from_bytes(doubled, "little")) >> 1
+        size, least = 2 * span + 1, 2 * low
+    else:
+        # read big-endian, the 1 of slot i is the top byte of slot span - i
+        product = p * int.from_bytes(slots, "big") >> 8 * (width * (span + 2) - 1)
+        size, least = span, 1
+    code = next(c for c in "BHILQ" if memoryview(bytes(8)).cast(c).itemsize == width)
+    counts = memoryview(product.to_bytes(size * width, sys.byteorder)).cast(code).tolist()
+    return counts[::-1] if sys.byteorder == "big" else counts, least
+
+
 def _repeated_pairs(keys, mode):
     """The number of distinct pair values of distinct int keys, and the
     input positions of the pairs of each repeated value."""
@@ -339,12 +380,21 @@ def _bounded_repetition(elements, g: int, mode: str) -> BVerdict:
         raise ParameterError("g must be >= 1")
     items = list(elements)
     keys, decode = canonical_keys(items)
-    counts, _, _ = _count_values(sorted(keys, reverse=True), mode)
-    # above FULL_MAP_PAIR_LIMIT counts holds only the repeated values
-    max_count = max(counts.values(), default=min(_pair_total(len(keys), mode), 1))
+    desc = sorted(keys, reverse=True)
+    dense = _dense_counts(desc, mode)
+    if dense:
+        counts, least = dense
+        max_count = max(counts, default=0)
+    else:
+        counts, _, _ = _count_values(desc, mode)
+        # above FULL_MAP_PAIR_LIMIT counts holds only the repeated values
+        max_count = max(counts.values(), default=min(_pair_total(len(keys), mode), 1))
     if max_count <= g:
         return BVerdict(True, max_count, None)
-    value = min(v for v, c in counts.items() if c == max_count)
+    if dense:
+        value = least + counts.index(max_count)
+    else:
+        value = min(v for v, c in counts.items() if c == max_count)
     return BVerdict(False, max_count, _witness(items, keys, decode, mode, value, max_count))
 
 
@@ -410,20 +460,32 @@ def _sum_energy(desc):
     """Ordered sum quadruples and |A+A|. U(v) unordered pairs, a = b
     included, give r(v) = 2U(v) - [v in 2A] ordered ones, so the sum of
     r(v)^2 is 4 sum U^2 - 4 sum_{a in A} U(2a) + |A|; a value missing
-    from the counts has U(v) = 1."""
-    counts, distinct, _ = _count_values(desc, "sum")
-    c = list(counts.values())
-    squares = sum(map(mul, c, c)) + distinct - len(c)
-    doubles = sum(counts.get(k + k, 1) for k in desc)
+    from the counts has U(v) = 1, and a zero slot of the dense counts
+    stands for no value."""
+    dense = _dense_counts(desc, "sum")
+    if dense:
+        c, least = dense
+        doubles = sum(c[k + k - least] for k in desc)
+        distinct = len(c) - c.count(0)
+    else:
+        counts, distinct, _ = _count_values(desc, "sum")
+        c = list(counts.values())
+        doubles = sum(counts.get(k + k, 1) for k in desc)
+    squares = sum(map(mul, c, c)) + distinct - len(c) + c.count(0)
     return 4 * (squares - doubles) + len(desc), distinct
 
 
 def _diff_energy(desc):
     """Ordered difference quadruples and |A-A|. A positive value with c(v)
     pairs has c(v) ordered representations, and so has -v; zero has |A|."""
-    counts, positive, _ = _count_values(desc, "diff")
-    c = list(counts.values())
-    squares = sum(map(mul, c, c)) + positive - len(c)
+    dense = _dense_counts(desc, "diff")
+    if dense:
+        c = dense[0]
+        positive = len(c) - c.count(0)
+    else:
+        counts, positive, _ = _count_values(desc, "diff")
+        c = list(counts.values())
+    squares = sum(map(mul, c, c)) + positive - len(c) + c.count(0)
     return len(desc) ** 2 + 2 * squares, 1 + 2 * positive
 
 

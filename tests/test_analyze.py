@@ -144,6 +144,18 @@ def _seeded_points(n, seed):
     return random.Random(seed).sample(box, n)
 
 
+def _dilated(elements, factor):
+    """The elements times ``factor``: a Freiman isomorphism of every order,
+    so every count is kept while the span grows by the factor."""
+    return [tuple(factor * c for c in x) if isinstance(x, tuple) else factor * x for x in elements]
+
+
+def _dense(elements, mode="sum"):
+    """True iff the elements' pair values are counted by one big-int product."""
+    keys, _ = canonical_keys(elements)
+    return analyze._dense_counts(sorted(keys, reverse=True), mode) is not None
+
+
 def _residue(value):
     if isinstance(value, tuple):
         return tuple(c % RESIDUE_PRIME for c in value)
@@ -205,12 +217,23 @@ class TestCountingPaths:
 
     @pytest.mark.parametrize("make", [_seeded_ints, _seeded_points])
     def test_energy_paths_agree(self, make, monkeypatch):
-        import b2sets.analyze as analyze
-
-        elements = make(self.N, seed=23)
+        # Dilated by 25, the seeded ints span 100|A|, past the dense gate,
+        # so the residue path and the full value map are compared.
+        elements = _dilated(make(self.N, seed=23), 25)
+        assert not _dense(elements)
         surrogate = additive_energy(elements)
         monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", self.N * self.N)
         assert additive_energy(elements) == surrogate
+
+    def test_dense_energy_matches_both_kernel_paths(self, monkeypatch):
+        elements = _seeded_ints(self.N, seed=23)
+        assert _dense(elements)
+        dense = additive_energy(elements)
+        assert additive_energy(_dilated(elements, 25)) == dense
+        monkeypatch.setattr(analyze, "DENSE_SPAN_FACTOR", -1)
+        assert additive_energy(elements) == dense
+        monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", self.N * self.N)
+        assert additive_energy(elements) == dense
 
     @pytest.mark.parametrize("mode", ["sum", "diff"])
     @pytest.mark.parametrize("name", sorted(RESIDUE_TWINS))
@@ -242,13 +265,14 @@ class TestCountingPaths:
 
     def test_small_calls_do_not_import_numpy(self):
         # numpy serves only the residue path, which no call below
-        # FULL_MAP_PAIR_LIMIT pairs reaches.
+        # FULL_MAP_PAIR_LIMIT pairs reaches, nor any dense call: range(1500)
+        # has 1.1M pairs.
         code = (
             "import random, sys\n"
             "import b2sets\n"
             "from b2sets.analyze import additive_energy, is_b2, is_b2_circ\n"
-            "values = random.Random(1).sample(range(10**6), 300)\n"
-            "is_b2(values, 2), is_b2_circ(values, 2), additive_energy(values)\n"
+            "for values in (random.Random(1).sample(range(10**6), 300), range(1500)):\n"
+            "    is_b2(values, 2), is_b2_circ(values, 2), additive_energy(values)\n"
             "print('numpy' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(b2sets.__file__).parents[1]))
@@ -266,6 +290,104 @@ class TestCountingPaths:
         repeated = {v: len(pairs) for v, pairs in prof.repeated.items()}
         assert {r.value: len(r.reps) for r in census.records} == repeated
         assert repeated
+
+
+def _dense_sweep_sets():
+    """Seeded sets whose width straddles the dense gate, tiny sets, planar
+    points, and the sizes at which the slots grow from 1 to 2 bytes."""
+    rng = random.Random(16)
+    sets = [[5], [-3, 4], [0, 1, 3], [-2, -1, 0], [(0, 0)], [(0, 0), (1, -1)]]
+    for n in (4, 30, 120):
+        for width in (1, 2, 3, 5, 8, 12, 16, 20, 23, 24, 25, 26, 30):
+            low = -(width * n) // 2
+            inner = rng.sample(range(low + 1, low + width * n), n - 2)
+            sets.append([low + width * n, *inner, low])
+    sets.append([(x, y) for x in range(-3, 3) for y in range(-2, 4)])
+    box = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    sets += [rng.sample(box, k) for k in (10, 40, 120)]
+    sets += [list(range(-130, n - 130)) for n in (254, 255, 256)]
+    return sets
+
+
+class TestDenseRoute:
+    """One big-int product per call must count exactly what the kernel and
+    the brute-force oracles count."""
+
+    @staticmethod
+    def _results(elements):
+        verdicts = [check(elements, g) for check in (is_b2, is_b2_circ) for g in (1, 2, 3, 10**6)]
+        return verdicts, additive_energy(elements)
+
+    def test_agrees_with_kernel_paths_and_oracles(self, monkeypatch):
+        sets = _dense_sweep_sets()
+        dense = [self._results(elements) for elements in sets]
+        assert sum(map(_dense, sets)) > len(sets) // 2
+        assert not all(map(_dense, sets))
+        assert any(_dense(e) for e in sets if isinstance(e[0], tuple))
+        for elements, (verdicts, energy) in zip(sets, dense):
+            checks = [("sum", brute_is_b2), ("diff", brute_is_b2_circ)]
+            for (mode, brute), row in zip(checks, (verdicts[:4], verdicts[4:])):
+                oracle = _oracle_counts(elements, mode)
+                top = max(oracle.values(), default=0)
+                value = min((v for v, c in oracle.items() if c == top), default=None)
+                for g, verdict in zip((1, 2, 3, 10**6), row):
+                    assert verdict.passed == brute(elements, g) == (top <= g)
+                    assert verdict.max_count == top
+                    assert verdict.witness is None or verdict.witness.value == value
+            assert energy.e_plus == brute_energy_plus(elements)
+            assert energy.e_minus == brute_energy_minus(elements)
+            assert energy.sumset_size == len(sumset(elements))
+            assert energy.diffset_size == len(diffset(elements))
+        monkeypatch.setattr(analyze, "DENSE_SPAN_FACTOR", -1)
+        assert [self._results(elements) for elements in sets] == dense
+        monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", 0)
+        assert [self._results(elements) for elements in sets] == dense
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 254, 255, 256, 1000, 65535])
+    def test_closed_forms_of_an_interval(self, n):
+        # In range(n) the most frequent unordered sums are n - 2 and n - 1,
+        # ceil(n/2) times each; the difference 1 occurs n - 1 times. At
+        # 65,535 elements the slots are 4 bytes wide.
+        top = (n + 1) // 2
+        verdict = is_b2(range(n), 1)
+        assert (verdict.passed, verdict.max_count) == (top <= 1, top)
+        if not verdict.passed:
+            assert verdict.witness.value == 2 * ((n - 1) // 2)
+            assert len(verdict.witness.pairs) == verdict.witness.count == top
+        verdict = is_b2_circ(range(n), 1)
+        assert (verdict.passed, verdict.max_count) == (n <= 2, n - 1)
+        if not verdict.passed:
+            assert verdict.witness.value == 1
+            assert len(verdict.witness.pairs) == verdict.witness.count == n - 1
+        if n <= 1000:
+            energy = additive_energy(range(n))
+            assert energy.e_plus == energy.e_minus == (2 * n**3 + n) // 3
+            assert energy.sumset_size == energy.diffset_size == 2 * n - 1
+
+    def test_wide_keys_take_the_kernel(self):
+        # [0, 1, 2**4000] spans 2^4000 and 600 powers of two span 2^599: the
+        # gate must send them to the kernel before anything span-sized is
+        # allocated. The child's timeout turns a hang into a failure.
+        code = (
+            "import b2sets.analyze as analyze\n"
+            "from b2sets.analyze import additive_energy, is_b2, is_b2_circ\n"
+            "dense, calls = analyze._dense_counts, []\n"
+            "def recording(desc, mode):\n"
+            "    calls.append(dense(desc, mode))\n"
+            "    return calls[-1]\n"
+            "analyze._dense_counts = recording\n"
+            "for values in ([0, 1, 2**4000], [2**i for i in range(600)]):\n"
+            "    print(is_b2(values, 1).passed, is_b2_circ(values, 1).passed,\n"
+            "          additive_energy(values).e_plus)\n"
+            "print(len(calls), set(calls))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(b2sets.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        # Sidon sets: E = 2|A|^2 - |A|
+        assert proc.stdout.split("\n")[:3] == ["True True 15", "True True 719400", "8 {None}"]
 
 
 class TestIsB2:
@@ -338,16 +460,23 @@ class TestIsB2:
                     positions = sorted(prof.repeated[w.value])
                     assert w.pairs == tuple((elements[i], elements[j]) for i, j in positions)
 
-    @pytest.mark.parametrize("limit", ["default", 0])
-    def test_verdicts_list_no_pair_positions(self, limit, monkeypatch):
-        # A dense set repeats nearly every pair value, so listing their
-        # positions costs as much as counting them; the verdict only counts.
-        elements = random.Random(13).sample(range(700), 300)
+    @staticmethod
+    def _expected_verdicts(elements):
         expected = {}
         for check, mode in ((is_b2, "sum"), (is_b2_circ, "diff")):
             prof = rep_profile(elements, mode)
             expected[check, 1] = analyze.BVerdict(False, prof.max_count, prof.witnesses[0])
             expected[check, 300] = analyze.BVerdict(True, prof.max_count, None)
+        return expected
+
+    @pytest.mark.parametrize("limit", ["default", 0])
+    def test_verdicts_list_no_pair_positions(self, limit, monkeypatch):
+        # A set that repeats nearly every pair value, so listing their
+        # positions costs as much as counting them; the verdict only counts.
+        # Dilated by 25, it spans up to 58|A|, past the dense gate.
+        elements = _dilated(random.Random(13).sample(range(700), 300), 25)
+        assert not _dense(elements)
+        expected = self._expected_verdicts(elements)
 
         def no_positions(*args):
             raise AssertionError("pair positions were listed")
@@ -366,6 +495,20 @@ class TestIsB2:
         for (check, g), verdict in expected.items():
             assert check(elements, g) == verdict
         assert orders == ([] if limit == "default" else [None] * len(expected))
+
+    def test_dense_verdicts_count_no_pair_values(self, monkeypatch):
+        # Undilated, the same set spans at most 2.4|A|: the verdicts come
+        # from one big-int product each, and no pair value is hashed.
+        elements = random.Random(13).sample(range(700), 300)
+        assert _dense(elements, "sum") and _dense(elements, "diff")
+        expected = self._expected_verdicts(elements)
+
+        def no_kernel(*args):
+            raise AssertionError("pair values were hashed")
+
+        monkeypatch.setattr(analyze, "_count_values", no_kernel)
+        for (check, g), verdict in expected.items():
+            assert check(elements, g) == verdict
 
 
 class TestEnergy:
