@@ -25,7 +25,10 @@ values. numpy is imported only on that path, so calls below the limit
 never load it. The bounded-repetition checks and the energies skip the
 kernel on dense keys, whose span is at most DENSE_SPAN_FACTOR times their
 number: one big-int product of the keys' indicator polynomial holds every
-count in the same conventions, and no pair value is hashed.
+count in the same conventions, and no pair value is hashed. The energies
+skip it on a full grid too, planar points that are every combination of
+their coordinates: each count is the product of the axes' counts, and
+only each axis, a set of ints, takes the dense product or the kernel.
 
 Conventions, pinned once in the kernel:
 
@@ -50,6 +53,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, compress, starmap
+from math import prod
 from operator import add, mul, sub
 
 from .construct import SetFamily, f2_embed
@@ -83,12 +87,16 @@ def canonical_keys(elements):
     """Distinct elements as int keys, and the decoder that turns a key, or
     a sum or difference of two keys, back into an element-space value. An
     empty set is a ParameterError: no check has anything to verify."""
+    return _int_keys(_canonical_points(elements))
+
+
+def _canonical_points(elements):
     points = [canonical_key(x) for x in elements]
     if not points:
         raise ParameterError("the set is empty")
     if len(set(points)) != len(points):
         raise ParameterError("elements must be distinct")
-    return _int_keys(points)
+    return points
 
 
 def _int_keys(points):
@@ -432,13 +440,24 @@ class EnergyReport:
 
 
 def additive_energy(elements) -> EnergyReport:
-    keys, _ = canonical_keys(elements)
+    """The energies and doubling sizes of a set. A full grid, points that
+    are every combination of their coordinates, is counted per axis: each
+    quantity of X x Y is the product of those of X and Y, so its pairs are
+    never enumerated and ENERGY_PAIR_BUDGET bounds the largest axis."""
+    points = _canonical_points(elements)
+    keys, _ = _int_keys(points)  # rejects points of different dimensions
     n = len(keys)
-    if n * n > ENERGY_PAIR_BUDGET:
-        raise ResourceCap(f"{n}^2 pairs exceed the budget {ENERGY_PAIR_BUDGET}")
-    _, desc = _descending(keys)
-    e_plus, sumset_size = _sum_energy(desc)
-    e_minus, diffset_size = _diff_energy(desc)
+    factors = _grid_axes(points) or [keys]
+    largest = max(map(len, factors))
+    if largest * largest > ENERGY_PAIR_BUDGET:
+        raise ResourceCap(f"{largest}^2 pairs exceed the budget {ENERGY_PAIR_BUDGET}")
+    e_plus = e_minus = sumset_size = diffset_size = 1
+    for factor in factors:
+        desc = sorted(factor, reverse=True)
+        plus, sums = _sum_energy(desc)
+        minus, diffs = _diff_energy(desc)
+        e_plus, sumset_size = e_plus * plus, sumset_size * sums
+        e_minus, diffset_size = e_minus * minus, diffset_size * diffs
     report = EnergyReport(
         n_elements=n,
         e_plus=e_plus,
@@ -454,6 +473,15 @@ def additive_energy(elements) -> EnergyReport:
     if sumset_size < report.energy_lower_bound or diffset_size < Fraction(n**4, e_minus):
         raise InternalVerificationFailure("a doubling size is below its Cauchy-Schwarz bound")
     return report
+
+
+def _grid_axes(points):
+    """The coordinate sets of distinct points of one dimension when the
+    points are every combination of them, else None."""
+    if not all(isinstance(p, tuple) for p in points):
+        return None
+    axes = [set(c) for c in zip(*points)]
+    return axes if prod(map(len, axes)) == len(points) else None
 
 
 def _sum_energy(desc):

@@ -181,6 +181,10 @@ def test_criterion_05_energy_identities(
         for vals in families:
             rep = additive_energy(vals)
             ok = ok and rep.e_plus == rep.e_minus
+        # the product is a full grid, counted per axis: it must agree with
+        # the pair-by-pair count of its embedded ints
+        product = family_product.union_values()
+        ok = ok and additive_energy(product) == additive_energy(list(f2_embed(product).image))
         # fourth-moment caps for the verified families
         n_w = family_w.size()
         ok = ok and additive_energy(family_w.union_values()).e_plus <= 3 * n_w * n_w
@@ -192,7 +196,7 @@ def test_criterion_05_energy_identities(
         t.elapsed,
         300,
         f"{checked} random sets + 5 families: E+ = E-, Cauchy-Schwarz bounds, "
-        "B2o[2] cap 3|A|^2 and B2[2] cap 4|A|^2",
+        "product per axis = enumerated, B2o[2] cap 3|A|^2 and B2[2] cap 4|A|^2",
     )
 
 

@@ -21,6 +21,7 @@ from b2sets.analyze import (
     AuditResult,
     _family_mode,
     additive_energy,
+    canonical_key,
     canonical_keys,
     collision_census,
     family_sumset_disjointness,
@@ -30,9 +31,9 @@ from b2sets.analyze import (
     subset_doubling_audit,
 )
 from b2sets.cli import main
-from b2sets.construct import Part, SetFamily, build_product, build_w, build_w_circ
+from b2sets.construct import Part, SetFamily, build_product, build_w, build_w_circ, f2_embed
 from b2sets.decompose import exact_min_union, greedy_union
-from b2sets.errors import ParameterError, ResourceCap
+from b2sets.errors import EmptyConstruction, ParameterError, ResourceCap
 
 from oracles import _classify_collision as reference_classify_collision
 from oracles import (
@@ -541,6 +542,99 @@ class TestEnergy:
         monkeypatch.setattr(analyze, "ENERGY_PAIR_BUDGET", 50)
         with pytest.raises(ResourceCap):
             additive_energy(list(range(100)))
+        # the budget bounds a grid's largest axis, and every pair of a set
+        # that is not a grid: a 7 x 7 grid fits, the same grid less one
+        # point does not
+        grid = list(itertools.product(range(7), range(-3, 4)))
+        assert additive_energy(grid).n_elements == 49
+        with pytest.raises(ResourceCap):
+            additive_energy(grid[1:])
+
+    @pytest.mark.parametrize(
+        "points",
+        [[(0,), (1, 2)], [(0, 1), (2,)], [(0, 0), 5], [5, (0, 0)], [(0, 0), (1, 1), (0, 0)]],
+        ids=["ragged", "ragged-short-last", "mixed", "mixed-int-first", "duplicate"],
+    )
+    def test_bad_points_are_rejected(self, points):
+        # zip(*points) would cut ragged tuples to a two-point "grid"
+        with pytest.raises(ParameterError):
+            additive_energy(points)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_products_match_enumeration(self, k):
+        # every product(k, n) that builds with at most 2,100 points: up to
+        # 1,000 against the pair count of the embedded ints, beyond that
+        # (36 s of enumeration on two cores) against the factor families
+        built = 0
+        for n in range(1, 30):
+            try:
+                points = build_product(k, n, element_cap=2100).union_values()
+            except (EmptyConstruction, ResourceCap):
+                continue
+            built += 1
+            assert analyze._grid_axes(list(map(canonical_key, points))) is not None
+            rep = additive_energy(points)
+            if len(points) <= 1000:
+                assert rep == _enumerated_energy(points), n
+            assert _energy_fields(rep) == _factor_energy_products(k, n), n
+        assert built == {2: 22, 3: 8, 4: 6, 5: 2, 6: 1}[k]
+
+    def test_random_grids_match_enumeration(self):
+        rng = random.Random(1017)
+        for _ in range(80):
+            axes = [rng.sample(range(-40, 41), rng.randint(1, 6)) for _ in range(rng.choice([2, 3]))]
+            grid = list(itertools.product(*axes))
+            rng.shuffle(grid)
+            assert analyze._grid_axes(grid) is not None
+            _assert_energy_matches_enumeration(grid)
+            if len(grid) < 2:
+                continue
+            # one point removed, or moved off the grid along one axis
+            moved = list(grid[-1])
+            axis = rng.randrange(len(moved))
+            moved[axis] = rng.choice([c for c in range(-50, 51) if c not in axes[axis]])
+            for near in (grid[:-1], grid[:-1] + [tuple(moved)]):
+                # on a line, the other axes singletons, both stay grids
+                if sum(len(x) > 1 for x in axes) >= 2:
+                    assert analyze._grid_axes(near) is None
+                _assert_energy_matches_enumeration(near)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [(3, y) for y in (-5, 0, 2, 9)],
+            [(x, -7) for x in (-4, 1, 6, 8, 20)],
+            list(itertools.product([1, 2, 5], [0], [-3, 4])),
+            [(2, -3)],
+        ],
+        ids=["1xm", "mx1", "singleton-axis", "one-point"],
+    )
+    def test_degenerate_grids(self, grid):
+        assert analyze._grid_axes(grid) is not None
+        _assert_energy_matches_enumeration(grid)
+
+    def test_near_grids_are_enumerated(self):
+        square = list(itertools.product([-3, 0, 1], [-2, 0, 5]))
+        wide = list(itertools.product([-3, 0, 1, 7], [-2, 0, 5]))
+        near_grids = [
+            square[1:],
+            wide[:-1],
+            # the moved point keeps its first coordinate: the first axis
+            # still has 3 values and 3^2 is still the number of points
+            square[:-1] + [(square[-1][0], 11)],
+            [(12, wide[0][1])] + wide[1:],
+        ]
+        for points in near_grids:
+            assert analyze._grid_axes(points) is None
+            _assert_energy_matches_enumeration(points)
+
+    def test_products_beyond_enumeration(self):
+        # 36,480 points, so about 1.3e9 ordered pairs, far above the
+        # budget, while each axis holds at most 240 points
+        points = build_product(4, 20).union_values()
+        assert len(points) ** 2 > analyze.ENERGY_PAIR_BUDGET
+        rep = additive_energy(points)
+        assert _energy_fields(rep) == _factor_energy_products(4, 20)
 
     def test_fourth_moment_caps(self):
         # bounded repetition caps the ordered quadruple count: a set whose
@@ -554,6 +648,33 @@ class TestEnergy:
         part = w.part_values()[0]
         gs = rep_profile(part, "sum").max_count
         assert additive_energy(part).e_plus <= 2 * gs * len(part) ** 2
+
+
+def _enumerated_energy(points):
+    """The report of the pair count: the embedded ints are never a grid."""
+    return additive_energy(list(f2_embed(points).image))
+
+
+def _assert_energy_matches_enumeration(points):
+    rep = additive_energy(points)
+    assert rep == _enumerated_energy(points)
+    if len(points) > 60:
+        return
+    assert rep.e_plus == brute_energy_plus(points)
+    assert rep.e_minus == brute_energy_minus(points)
+    assert rep.sumset_size == len(sumset(points))
+    assert rep.diffset_size == len(diffset(points))
+
+
+def _energy_fields(rep):
+    return [rep.n_elements, rep.e_plus, rep.e_minus, rep.sumset_size, rep.diffset_size]
+
+
+def _factor_energy_products(k, n):
+    """The energy fields of product(k, n) as products of those of its
+    factor families Wcirc(k, n) and W(k, n)."""
+    left, right = (_energy_fields(additive_energy(f(k, n).union_values())) for f in (build_w_circ, build_w))
+    return [a * b for a, b in zip(left, right)]
 
 
 @settings(max_examples=60)

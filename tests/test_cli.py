@@ -142,12 +142,19 @@ ELEMENTS = "b2sets.elements/1"
         {"schema": ELEMENTS, "elements": 5},
         {"schema": ELEMENTS, "elements": ["7*5^3"]},
         {"schema": ELEMENTS, "elements": ["7" * 4400]},
+        "0,1,0",
+        {"schema": ELEMENTS, "elements": [["0", "1"], ["2", "3"], ["0", "1"]]},
+        {"schema": ELEMENTS, "elements": [["0", "0"], "5"]},
+        {"schema": ELEMENTS, "elements": [["0"], ["1", "2"]]},
     ],
-    ids=["values-text", "no-elements", "elements-not-list", "digit-7", "overlong-decimal"],
+    ids=["values-text", "no-elements", "elements-not-list", "digit-7", "overlong-decimal",
+         "duplicate-values", "duplicate-points", "mixed", "ragged"],
 )
 def test_malformed_elements_are_a_config_error(source, tmp_path, capsys):
-    # bad text, a digit outside [-2, 2] and a decimal past the int-string
-    # limit (4,300 digits) are the user's input, not the tool's failure
+    # bad text, a digit outside [-2, 2], a decimal past the int-string
+    # limit (4,300 digits), repeated elements and points of different
+    # dimensions are the user's input, not the tool's failure; energy must
+    # reject them before it looks for a grid
     if isinstance(source, str):
         argv = ["--values", source]
     else:
@@ -155,6 +162,7 @@ def test_malformed_elements_are_a_config_error(source, tmp_path, capsys):
         path.write_text(json.dumps(source))
         argv = [str(path)]
     assert main(["analyze", *argv, "--check", "b2"]) == 2
+    assert main(["analyze", *argv, "--check", "energy"]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "Traceback" not in err

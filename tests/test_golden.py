@@ -1,7 +1,8 @@
 """Frozen report bytes.
 
 The commands of acceptance criterion 12, plus the representation profile
-of the planar product family in both modes, must keep producing exactly
+of the planar product family in both modes and the additive energy of
+two planar products, must keep producing exactly
 the bytes stored in ``tests/golden``. Criterion 12 only compares a run
 with itself; this test compares a run with the frozen files, so a change
 to counting, witness selection or value decoding shows up as a diff.
@@ -50,6 +51,8 @@ COMMANDS = {
     "b2circ_w30": ["analyze", "w30.json", "--check", "b2circ", "--g", "2"],
     "census_sum_w30": ["analyze", "w30.json", "--check", "census", "--mode", "sum"],
     "energy_w30": ["analyze", "w30.json", "--check", "energy"],
+    "energy_p36": ["analyze", "p36.json", "--check", "energy"],
+    "energy_p519": ["analyze", "p519.json", "--check", "energy"],
     "audit_w30": ["analyze", "w30.json", "--check", "audit", "--trials", "100", "--seed", "11"],
     "certify_w40": ["certify", "w40.json", "--g", "1", "--parts", "2"],
     "certify_wc14": ["certify", "wc14.json", "--g", "1", "--parts", "4"],
@@ -84,6 +87,8 @@ EXIT_CODES = {
 STDOUT = {
     "text_b2_fail_values": ("b2_fail_values", ["--format", "text"]),
     "text_decompose_greedy_powers": ("decompose_greedy_powers", ["--format", "text"]),
+    "text_energy_p36": ("energy_p36", ["--format", "text"]),
+    "text_energy_p519": ("energy_p519", ["--format", "text"]),
     "text_out_disjoint_w30": ("disjoint_w30", ["--format", "text", "--out", "report.json"]),
     "json_b2_fail_values": ("b2_fail_values", ["--format", "json"]),
     "json_out_embed_powers": ("embed_powers", ["--format", "json", "--out", "report.json"]),
