@@ -10,7 +10,9 @@ most significant and the base exceeds four times the largest coordinate
 magnitude. The map preserves every sum and difference relation in both
 directions, int order is the lexicographic order of the points, and the
 sign of an int is the sign of its point's first nonzero coordinate.
-Values handed back to callers are decoded to points.
+Values handed back to callers are decoded to points. ``construct``, which
+holds ``f2_embed``, is loaded for planar input only, so a caller with ints
+never loads it.
 
 All pair enumeration runs through one kernel over the keys sorted in
 descending order. Up to FULL_MAP_PAIR_LIMIT pairs, a full value->count
@@ -50,15 +52,17 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, compress, starmap
 from math import prod
 from operator import add, mul, sub
+from typing import TYPE_CHECKING, NamedTuple
 
-from .construct import SetFamily, f2_embed
 from .digitnum import as_int
 from .errors import InternalVerificationFailure, ParameterError, ResourceCap
+
+if TYPE_CHECKING:
+    from .construct import SetFamily
 
 ENERGY_PAIR_BUDGET = 5 * 10**7
 FULL_MAP_PAIR_LIMIT = 200_000
@@ -91,7 +95,13 @@ def canonical_keys(elements):
 
 
 def _canonical_points(elements):
-    points = [canonical_key(x) for x in elements]
+    ints = {}  # a product's points share few coordinates: each is converted once
+    points = [
+        tuple([ints[c] if c in ints else ints.setdefault(c, as_int(c)) for c in x])
+        if isinstance(x, tuple)
+        else canonical_key(x)
+        for x in elements
+    ]
     if not points:
         raise ParameterError("the set is empty")
     if len(set(points)) != len(points):
@@ -110,6 +120,8 @@ def _int_keys(points):
     """
     if not any(isinstance(p, tuple) for p in points):
         return points, _identity
+    from .construct import f2_embed
+
     emb = f2_embed([p[::-1] if isinstance(p, tuple) else p for p in points])
     return list(emb.image), lambda value: emb.decode(value)[::-1]
 
@@ -308,15 +320,13 @@ def _repeated_pairs(keys, mode):
 # -- representation profiles ------------------------------------------------
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     value: object
     count: int
     pairs: tuple
 
 
-@dataclass
-class RepProfile:
+class RepProfile(NamedTuple):
     """Exact representation counts for pair sums or differences.
 
     ``repeated`` maps every value with at least two representations to
@@ -362,8 +372,7 @@ def rep_profile(elements, mode: str) -> RepProfile:
     )
 
 
-@dataclass
-class BVerdict:
+class BVerdict(NamedTuple):
     passed: bool
     max_count: int
     witness: Witness | None
@@ -419,8 +428,7 @@ def _witness(items, keys, decode, mode, value, count):
 # -- additive energy ---------------------------------------------------------
 
 
-@dataclass
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Ordered quadruple counts and the doubling quantities they bound.
 
     e_plus counts ordered (a, b, c, d) with a+b = c+d, e_minus the same
@@ -520,8 +528,7 @@ def _diff_energy(desc):
 # -- family-level checks ------------------------------------------------------
 
 
-@dataclass
-class DisjointnessReport:
+class DisjointnessReport(NamedTuple):
     passed: bool
     pair_count: int
     witness_value: object | None
@@ -565,8 +572,7 @@ def family_sumset_disjointness(family: SetFamily) -> DisjointnessReport:
 # -- collision census ---------------------------------------------------------
 
 
-@dataclass
-class CollisionRecord:
+class CollisionRecord(NamedTuple):
     value: object
     reps: tuple  # pairs (a, b) of labeled elements
     part_pair: tuple | None
@@ -574,8 +580,7 @@ class CollisionRecord:
     pattern: str
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     mode: str
     n_elements: int
     records: list[CollisionRecord]
@@ -730,8 +735,7 @@ def _is_swap_pattern(reps, mode):
 # -- subset doubling audit -----------------------------------------------------
 
 
-@dataclass
-class AuditResult:
+class AuditResult(NamedTuple):
     mode: str
     n_elements: int
     subsets_examined: int

@@ -23,8 +23,8 @@ is exact integer arithmetic; no floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InternalVerificationFailure, ParameterError
 
@@ -46,8 +46,7 @@ def walsh_rows(j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class CodeFamily:
+class CodeFamily(NamedTuple):
     """A family of k sign vectors of common length d."""
 
     kind: str  # "hadamard" | "star"
@@ -169,8 +168,7 @@ def int_det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class ReducedVandermonde:
+class ReducedVandermonde(NamedTuple):
     """d rows of m = ceil(d/2) entries in 1..prime-1: row r is
     (r^0, r^1, ..., r^(m-1)) mod prime."""
 

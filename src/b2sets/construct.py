@@ -18,8 +18,8 @@ quadruples, translations, and packing into disjoint dyadic blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
+from typing import NamedTuple
 
 from .codes import (
     CodeFamily,
@@ -36,16 +36,14 @@ ELEMENT_CAP = 10**7  # the most elements any build may produce
 EMBED_VERIFY_THRESHOLD = 100
 
 
-@dataclass(frozen=True)
-class TuplePoint:
+class TuplePoint(NamedTuple):
     """A lattice point M*preimage together with its preimage."""
 
     coords: tuple[int, ...]
     preimage: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LabeledElement:
+class LabeledElement(NamedTuple):
     """A family member phi(point) . v_j with its construction labels."""
 
     point: TuplePoint
@@ -53,8 +51,7 @@ class LabeledElement:
     value: DigitVector
 
 
-@dataclass(frozen=True)
-class MeyerElement:
+class MeyerElement(NamedTuple):
     """5^hi - 5^lo with 0 <= lo < hi."""
 
     hi: int
@@ -62,8 +59,7 @@ class MeyerElement:
     value: DigitVector
 
 
-@dataclass(frozen=True)
-class BoxElement:
+class BoxElement(NamedTuple):
     """A signed combination over a k-dimensional index box."""
 
     indices: tuple[int, ...]
@@ -71,8 +67,7 @@ class BoxElement:
     value: DigitVector
 
 
-@dataclass(frozen=True)
-class ProductElement:
+class ProductElement(NamedTuple):
     """An ordered pair (left, right) of family members, one per factor."""
 
     left: LabeledElement
@@ -83,14 +78,12 @@ class ProductElement:
         return (self.left.value, self.right.value)
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     name: str
     elements: tuple
 
 
-@dataclass
-class SetFamily:
+class SetFamily(NamedTuple):
     """A named, partitioned set with full construction provenance.
 
     ``parts`` are pairwise disjoint as value sets; ``ambient`` is 1 for
@@ -390,8 +383,7 @@ def decode_element(family: SetFamily, value: DigitVector) -> tuple[tuple[int, ..
 # -- structure-preserving transport ---------------------------------------
 
 
-@dataclass(frozen=True)
-class F2Embedding:
+class F2Embedding(NamedTuple):
     """An injective map of d-dimensional points into Z preserving all
     a+b = c+d and a-b = c-d relations in both directions.
 
@@ -510,16 +502,14 @@ def translate(elements, alpha):
     return out
 
 
-@dataclass(frozen=True)
-class PackedBlock:
+class PackedBlock(NamedTuple):
     index: int
     psi: int
     offset: int
     elements: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DyadicPacking:
+class DyadicPacking(NamedTuple):
     blocks: tuple[PackedBlock, ...]
 
     def union(self) -> list[int]:

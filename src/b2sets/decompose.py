@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, sub
+from typing import NamedTuple
 
 from .analyze import _family_mode, canonical_keys, is_b2, is_b2_circ, rep_profile
 from .construct import SetFamily
@@ -31,8 +31,7 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # -- decompositions and search -----------------------------------------------
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     assignment: list[int]  # element index -> part index (0-based)
     parts_used: int
 
@@ -43,16 +42,14 @@ class Decomposition:
         return out
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     status: str  # "SAT" | "UNSAT" | "TIMEOUT"
     parts: int
     decomposition: Decomposition | None
     nodes_explored: int
 
 
-@dataclass
-class MinUnionReport:
+class MinUnionReport(NamedTuple):
     results: dict[int, SearchResult]
     minimum: int | None
     order: list[int]  # element indices in search order
@@ -114,7 +111,7 @@ def exact_min_union(
             assignment = [0] * n
             for pos, part in enumerate(res.decomposition.assignment):
                 assignment[order[pos]] = part
-            res.decomposition.assignment = assignment
+            res = res._replace(decomposition=res.decomposition._replace(assignment=assignment))
             _verify_decomposition(items, res.decomposition, g, kind)
         results[t] = res
         if res.status == "SAT":
@@ -225,8 +222,7 @@ def pair_collision_values(family: SetFamily) -> dict:
 # -- counting certificates -------------------------------------------------------
 
 
-@dataclass
-class CountingCertificate:
+class CountingCertificate(NamedTuple):
     """Exact pigeonhole certificate that no t-part decomposition exists.
 
     With t < k parts, every lattice tuple forces one same-part pair among
@@ -325,8 +321,7 @@ def _density_pigeonhole(left, right, g, mass, threshold, repeats, parts):
     return branches
 
 
-@dataclass
-class MixedCertificate:
+class MixedCertificate(NamedTuple):
     """Certificate that the product family admits no mixed decomposition
     into ``parts`` parts, each bounded-repetition for sums or for
     differences.
@@ -366,8 +361,7 @@ def mixed_certificate(family: SetFamily, g: int, parts: int) -> MixedCertificate
     )
 
 
-@dataclass
-class NoLargeSubsetCertificate:
+class NoLargeSubsetCertificate(NamedTuple):
     """Certificate that no subset of relative size delta' of the product
     family is bounded-repetition for sums or for differences.
 
@@ -419,8 +413,7 @@ def no_large_bsubset_certificate(
 # -- random partition extraction ---------------------------------------------
 
 
-@dataclass
-class MeyerExtraction:
+class MeyerExtraction(NamedTuple):
     n_elements: int
     trials: int
     seed: int

@@ -15,7 +15,6 @@ it; they compare and combine values as Python ints (``to_integer``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -26,28 +25,47 @@ _SPARSE_TERM = re.compile(r"([+-]?)(?:(\d+)\*)?5\^(\d+)")
 _DECIMAL = re.compile(r"[+-]?\d+")
 
 
-@dataclass(frozen=True)
 class DigitVector:
     """A balanced base-5 integer stored as sorted (exponent, digit) pairs.
 
     Invariants: exponents are non-negative and strictly increasing, digits
     are nonzero and lie in [-2, 2]. Two DigitVectors are equal exactly when
     their digit tuples are equal, which by uniqueness of balanced base-5
-    expansions means they represent the same integer.
+    expansions means they represent the same integer. Instances are
+    immutable. Not a tuple: callers read a tuple element as a planar point.
     """
 
-    digits: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("digits",)
 
-    def __post_init__(self):
-        last = -1
-        for exponent, coeff in self.digits:
+    def __init__(self, digits: tuple[tuple[int, int], ...] = ()):
+        last = -1  # so the first exponent must be non-negative
+        for exponent, coeff in digits:
             if exponent <= last:
                 raise ValueError("exponents must be strictly increasing")
-            if exponent < 0:
-                raise ValueError("exponents must be non-negative")
             if coeff == 0 or not (COEFF_MIN <= coeff <= COEFF_MAX):
                 raise ValueError(f"digit {coeff} outside nonzero [-2, 2]")
             last = exponent
+        object.__setattr__(self, "digits", digits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.digits == other.digits
+
+    def __hash__(self):
+        return hash((self.digits,))
+
+    def __repr__(self):
+        return f"DigitVector(digits={self.digits!r})"
+
+    def __reduce__(self):
+        return DigitVector, (self.digits,)
 
     # -- constructors ----------------------------------------------------
 

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from b2sets.analyze import (
 from b2sets.cli import main
 from b2sets.construct import Part, SetFamily, build_product, build_w, build_w_circ, f2_embed
 from b2sets.decompose import exact_min_union, greedy_union
+from b2sets.digitnum import DigitVector
 from b2sets.errors import EmptyConstruction, ParameterError, ResourceCap
 
 from oracles import _classify_collision as reference_classify_collision
@@ -134,6 +134,25 @@ class TestPlanarKeys:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ParameterError):
             canonical_keys([1, (2, 3)])
+
+    def test_each_distinct_coordinate_is_converted_once(self, monkeypatch):
+        # a product's points share their coordinates; the first point here
+        # holds equal copies, which are the same coordinates by value
+        points = build_product(3, 8).union_values()
+        points[0] = tuple(DigitVector(c.digits) for c in points[0])
+        want = [canonical_key(p) for p in points]
+        distinct = {c for p in points for c in p}
+        assert len(distinct) < len(points)
+        conversions = []
+        to_integer = DigitVector.to_integer
+
+        def counted(self):
+            conversions.append(self)
+            return to_integer(self)
+
+        monkeypatch.setattr(DigitVector, "to_integer", counted)
+        assert analyze._canonical_points(points) == want
+        assert sorted(map(repr, conversions)) == sorted(map(repr, distinct))
 
 
 def _seeded_ints(n, seed):
@@ -738,7 +757,7 @@ class TestDisjointness:
         parts = [[5], [5], [0]]
         rep = family_sumset_disjointness(FakeValueParts(parts))
         assert (rep.witness_value, rep.witness_pairs) == (5, ((1, 3), (2, 3)))
-        assert astuple(rep) == brute_disjointness(parts)
+        assert tuple(rep) == brute_disjointness(parts)
 
     @pytest.mark.parametrize("planar", [False, True], ids=["int", "planar"])
     def test_matches_brute_force_on_random_families(self, planar):
@@ -761,7 +780,7 @@ class TestDisjointness:
                 if x not in dst:
                     dst.append(x)
             rep = family_sumset_disjointness(FakeValueParts(parts))
-            assert astuple(rep) == brute_disjointness(parts), parts
+            assert tuple(rep) == brute_disjointness(parts), parts
 
     def test_matches_brute_force_on_the_residue_path(self):
         # W(3, 40) has 741 elements, 274,911 pair sums: above
@@ -771,7 +790,7 @@ class TestDisjointness:
         assert analyze._pair_total(741, "sum") > analyze.FULL_MAP_PAIR_LIMIT
         for family in (parts, parts + [parts[0][100:103] + parts[2][7:9]]):
             rep = family_sumset_disjointness(FakeValueParts(family))
-            assert astuple(rep) == brute_disjointness(family)
+            assert tuple(rep) == brute_disjointness(family)
         assert not rep.passed
 
     def test_memory_is_the_kernels(self):

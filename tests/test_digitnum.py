@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +29,51 @@ class TestConstruction:
             DigitVector(((0, 1), (0, 1)))
         with pytest.raises(ValueError):
             DigitVector(((-1, 1),))
+
+    @pytest.mark.parametrize(
+        "digits, message",
+        [
+            (((2, 1), (2, -1)), "exponents must be strictly increasing"),
+            (((3, 1), (1, 1)), "exponents must be strictly increasing"),
+            (((-1, 1),), "exponents must be strictly increasing"),
+            (((0, 0),), "digit 0 outside nonzero"),
+            (((4, -3),), "digit -3 outside nonzero"),
+        ],
+    )
+    def test_validation_messages(self, digits, message):
+        with pytest.raises(ValueError, match=message):
+            DigitVector(digits)
+
+
+class TestValueSemantics:
+    """A DigitVector is an immutable value, compared and hashed by its
+    digits, and never a tuple: a tuple element is a planar point."""
+
+    def test_equality_and_hash_follow_the_digits(self):
+        a, b = dv({7: 1, 11: -2}), DigitVector(((7, 1), (11, -2)))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != dv({7: 1}) and len({a, b, dv({7: 1})}) == 2
+        assert a != a.digits and a != a.to_integer()
+        assert DigitVector() == ZERO
+
+    def test_repr(self):
+        assert repr(dv({7: 1, 11: -2})) == "DigitVector(digits=((7, 1), (11, -2)))"
+        assert repr(ZERO) == "DigitVector(digits=())"
+
+    def test_immutable(self):
+        a = dv({7: 1})
+        with pytest.raises(AttributeError):
+            a.digits = ((8, 1),)
+        with pytest.raises(AttributeError):
+            a.other = 1
+        with pytest.raises(AttributeError):
+            del a.digits
+        assert a.digits == ((7, 1),)
+
+    def test_not_a_tuple_and_copies_are_equal(self):
+        a = dv({7: 1, 11: -2})
+        assert not isinstance(a, tuple)
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
 class TestArithmetic:
