@@ -17,20 +17,22 @@ never loads it.
 All pair enumeration runs through one kernel over the keys sorted in
 descending order. Up to FULL_MAP_PAIR_LIMIT pairs, a full value->count
 map is built. Above it, each pair value is first reduced to its residue
-mod the prime 2^61 - 31, computed from the keys' residues in a numpy
-uint64 array (about 8 bytes per pair, against about 97 for a hash-table
+mod the prime 2^31 - 19, computed from the keys' residues in a numpy
+uint32 array (about 4 bytes per pair, against about 97 for a hash-table
 entry). The residue is a function of the value, so every repeated value
-has a repeated residue; after one sort, only the pairs whose residue
-repeats are counted exactly as Python ints. Reported counts are exact,
-and Python-object memory stays proportional to the number of repeated
-values. numpy is imported only on that path, so calls below the limit
-never load it. The bounded-repetition checks and the energies skip the
-kernel on dense keys, whose span is at most DENSE_SPAN_FACTOR times their
-number: one big-int product of the keys' indicator polynomial holds every
-count in the same conventions, and no pair value is hashed. The energies
-skip it on a full grid too, planar points that are every combination of
-their coordinates: each count is the product of the axes' counts, and
-only each axis, a set of ints, takes the dense product or the kernel.
+has a repeated residue; after one sort and a scan for equal neighbours
+in fixed chunks, only the pairs whose residue repeats, those of repeated
+values and about N^2/p of N others, are counted exactly as Python ints.
+Reported counts are exact, and Python-object memory stays proportional
+to the number of flagged values. numpy is imported only on that path, so
+calls below the limit never load it. The bounded-repetition checks and
+the energies skip the kernel on dense keys, whose span is at most
+DENSE_SPAN_FACTOR times their number: one big-int product of the keys'
+indicator polynomial holds every count in the same conventions, and no
+pair value is hashed. The energies skip it on a full grid too, planar
+points that are every combination of their coordinates: each count is
+the product of the axes' counts, and only each axis, a set of ints,
+takes the dense product or the kernel.
 
 Conventions, pinned once in the kernel:
 
@@ -69,10 +71,10 @@ FULL_MAP_PAIR_LIMIT = 200_000
 # keys whose span is at most this many times their number are counted by
 # one big-int product (_dense_counts) instead of pair by pair
 DENSE_SPAN_FACTOR = 24
-# 2^61 - 31. Not 2^61 - 1, the modulus of Python's int hash: 2^i mod that
-# prime is 2^(i mod 61), so the sums of distinct powers of two would share
-# a few thousand residues.
-RESIDUE_PRIME = 2305843009213693921
+# 2^31 - 19: a uint32 sum of two residues stays below 2p < 2^32, and 2 is
+# a primitive root, so powers of two do not cluster as mod 2^61 - 1, the
+# modulus of Python's int hash, where 2^i is 2^(i mod 61).
+RESIDUE_PRIME = 2147483629
 WITNESS_CAP = 10
 EXHAUSTIVE_AUDIT_LIMIT = 20
 
@@ -180,7 +182,7 @@ def _count_values(desc, mode, order=None):
     Up to FULL_MAP_PAIR_LIMIT pairs ``counts`` holds every value. Above
     it ``counts`` keeps only the repeated values, found through their
     residues mod RESIDUE_PRIME (``_residue_counts``, which imports numpy
-    on first use and holds about 8 bytes per pair); a value missing from
+    on first use and holds about 4 bytes per pair); a value missing from
     ``counts`` then occurs exactly once.
     """
     if _pair_total(len(desc), mode) > FULL_MAP_PAIR_LIMIT:
@@ -193,47 +195,55 @@ def _count_values(desc, mode, order=None):
 
 
 def _residue_counts(desc, mode, order):
-    """``_count_values`` above FULL_MAP_PAIR_LIMIT, in about 8 bytes per pair.
+    """``_count_values`` above FULL_MAP_PAIR_LIMIT, in about 4 bytes per pair.
 
-    A pair value's residue mod the prime p = 2^61 - 31 is a function of the
+    A pair value's residue mod the prime p = 2^31 - 19 is a function of the
     value: (r_a + r_b) mod p for a sum, (r_a + (p - r_b)) mod p for a
-    difference, where r is a key's residue. So a value with two or more
-    pairs has a residue that occurs two or more times. All residues go
-    into one uint64 array, which is sorted in place: adjacent equal
-    entries give the repeated residues, and a residue that occurs once
+    difference, where r is a key's residue (both sums are below 2p < 2^32).
+    So a value with two or more pairs has a residue that occurs two or more
+    times. All residues go into one uint32 array, which is sorted in place
+    and scanned in chunks for equal neighbours; a residue that occurs once
     belongs to a value that occurs once. A second pass over the rows flags
     the pairs whose residue repeats, and only those are counted exactly as
-    Python ints, in enumeration order, with their positions.
+    Python ints, in enumeration order, with their positions. About N^2/p
+    of N pairs have distinct values that share a residue, so this count
+    grows as N^2: 40.5M random sums take 2.2 s against 0.95 s mod a 61-bit
+    prime, and with positions the ints outgrow the 4 B/pair saved near 6e7.
     """
     import numpy as np
 
-    p = np.uint64(RESIDUE_PRIME)
+    p = np.uint32(RESIDUE_PRIME)
     first = 0 if mode == "sum" else 1  # row a pairs desc[a] with desc[a + first:]
-    res = np.array([k % RESIDUE_PRIME for k in desc], dtype=np.uint64)
+    res = np.array([k % RESIDUE_PRIME for k in desc], dtype=np.uint32)
     other = res if mode == "sum" else p - res  # the residues of +b or -b
 
     def row(a, out=None):
         return np.remainder(np.add(other[a + first :], res[a], out=out), p, out=out)
 
     n = len(desc)
-    residues = np.empty(_pair_total(n, mode), dtype=np.uint64)
+    residues = np.empty(_pair_total(n, mode), dtype=np.uint32)
     start = 0
     for a in range(n - first):
         stop = start + n - a - first
         row(a, residues[start:stop])
         start = stop
     residues.sort()
-    same = residues[1:] == residues[:-1]
-    repeated = np.unique(residues[1:][same])
-    singles = len(residues) - int(same.sum()) - len(repeated)
-    del residues, same
+    equal, repeats = 0, []
+    for s in range(0, max(len(residues), 1), 1 << 18):  # >= 1 chunk, overlapping by one
+        chunk = residues[s : s + (1 << 18) + 1]
+        same = chunk[1:] == chunk[:-1]
+        equal += int(np.count_nonzero(same))
+        repeats.append(np.unique(chunk[1:][same]))
+    repeated = np.unique(np.concatenate(repeats))
+    singles = len(residues) - equal - len(repeated)
+    del residues, chunk
     if not len(repeated):
         return {}, singles, {}
 
     # a direct-address table of the low residue bits passes every repeated
     # residue and few others; the binary search then runs on those alone
     table = np.zeros(1 << max(16, (16 * len(repeated)).bit_length()), dtype=bool)
-    low = np.uint64(len(table) - 1)
+    low = np.uint32(len(table) - 1)
     table[repeated & low] = True
     op = add if mode == "sum" else sub
     counts: Counter = Counter()
@@ -453,9 +463,8 @@ def additive_energy(elements) -> EnergyReport:
     quantity of X x Y is the product of those of X and Y, so its pairs are
     never enumerated and ENERGY_PAIR_BUDGET bounds the largest axis."""
     points = _canonical_points(elements)
-    keys, _ = _int_keys(points)  # rejects points of different dimensions
-    n = len(keys)
-    factors = _grid_axes(points) or [keys]
+    n = len(points)
+    factors = _grid_axes(points) or [_int_keys(points)[0]]  # rejects mixed dimensions
     largest = max(map(len, factors))
     if largest * largest > ENERGY_PAIR_BUDGET:
         raise ResourceCap(f"{largest}^2 pairs exceed the budget {ENERGY_PAIR_BUDGET}")
@@ -486,7 +495,7 @@ def additive_energy(elements) -> EnergyReport:
 def _grid_axes(points):
     """The coordinate sets of distinct points of one dimension when the
     points are every combination of them, else None."""
-    if not all(isinstance(p, tuple) for p in points):
+    if not all(isinstance(p, tuple) for p in points) or len(set(map(len, points))) != 1:
         return None
     axes = [set(c) for c in zip(*points)]
     return axes if prod(map(len, axes)) == len(points) else None

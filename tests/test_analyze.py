@@ -170,6 +170,15 @@ def _dilated(elements, factor):
     return [tuple(factor * c for c in x) if isinstance(x, tuple) else factor * x for x in elements]
 
 
+def _random_keys(n, seed, bits=100):
+    """n distinct seeded random keys of ``bits`` bits: their pair values
+    are all distinct, and far too wide for the dense product."""
+    rng = random.Random(seed)
+    keys = list({rng.getrandbits(bits) for _ in range(n)})
+    assert len(keys) == n
+    return keys
+
+
 def _dense(elements, mode="sum"):
     """True iff the elements' pair values are counted by one big-int product."""
     keys, _ = canonical_keys(elements)
@@ -197,13 +206,25 @@ RESIDUE_TWINS = {
 
 
 class TestResiduePrime:
-    def test_is_a_61_bit_prime(self):
+    def test_is_a_prime_with_primitive_root_2_and_uint32_sums(self):
         assert [n for n in range(60) if is_prime(n)] == [
             2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59
         ]
         assert not is_prime(561 * 1105)  # a product of Carmichael numbers
-        assert is_prime(RESIDUE_PRIME)
-        assert RESIDUE_PRIME.bit_length() == 61
+        p = RESIDUE_PRIME
+        assert is_prime(p)
+        # a residue plus a residue, or plus p minus one, never wraps a uint32
+        assert 2 * p < 2**32
+        # 2 has order p - 1: 2^((p-1)/q) != 1 for every prime q | p - 1
+        factors, m, q = set(), p - 1, 2
+        while q * q <= m:
+            while m % q == 0:
+                factors.add(q)
+                m //= q
+            q += 1
+        factors.add(m)
+        assert factors == {2, 3, 59652323}
+        assert all(pow(2, (p - 1) // q, p) != 1 for q in factors)
 
     def test_sums_of_powers_of_two_keep_distinct_residues(self):
         # Mod 2^61 - 1, the modulus of Python's int hash, 2^i is 2^(i mod
@@ -274,6 +295,67 @@ class TestCountingPaths:
         assert residue.witnesses == full.witnesses
         assert list(residue.repeated.items()) == list(full.repeated.items())
         assert additive_energy(elements) == energy
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_false_residue_collisions_are_counted_apart(self, mode, monkeypatch):
+        # 1,000 random 100-bit keys have 500,500 distinct sums (499,500
+        # differences), and mod the 31-bit prime about N^2/(2p) of those
+        # pairs of distinct values still share a residue: the residue path
+        # must count them apart.
+        import numpy as np
+
+        keys = _random_keys(1000, seed=1)
+        desc = sorted(keys, reverse=True)
+        total = analyze._pair_total(len(keys), mode)
+        values = list(analyze._pair_values(desc, mode))
+        assert len(set(values)) == total > analyze.FULL_MAP_PAIR_LIMIT
+        residues = np.array([v % RESIDUE_PRIME for v in values], dtype=np.uint32)
+        assert len(np.unique(residues)) < total
+        counts, distinct, groups = analyze._count_values(desc, mode, list(range(len(keys))))
+        assert (counts, distinct, groups) == ({}, total, {})
+        surrogate = rep_profile(keys, mode)
+        monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", total)
+        assert rep_profile(keys, mode) == surrogate
+        assert surrogate.distinct_values == total and surrogate.max_count == 1
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_residue_memory_is_4_bytes_a_pair(self, mode):
+        # 2,000 random 100-bit keys: 2,001,000 sums or 1,999,000
+        # differences, none repeated. The residues are uint32 and the scan
+        # for repeats holds one chunk at a time; numpy reports its buffers
+        # to tracemalloc. A uint64 array alone would be 8 bytes a pair.
+        import numpy  # noqa: F401  (loaded before tracing)
+
+        desc = sorted(_random_keys(2000, seed=2), reverse=True)
+        total = analyze._pair_total(len(desc), mode)
+        tracemalloc.start()
+        try:
+            counts, distinct, _ = analyze._count_values(desc, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (counts, distinct) == ({}, total)
+        assert peak <= 6 * total
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_repeats_straddle_the_chunks_of_the_scan(self, mode):
+        # range(800) has 320,400 sums and 319,600 differences, more than
+        # one chunk of 2^18 neighbour comparisons, and every value but the
+        # extreme ones repeats, so a run of equal residues crosses the
+        # boundary: a comparison lost or made twice there changes the count
+        # of distinct values.
+        desc = list(range(799, -1, -1))
+        full = Counter(analyze._pair_values(desc, mode))
+        counts, distinct, _ = analyze._count_values(desc, mode)
+        assert counts == {v: c for v, c in full.items() if c >= 2}
+        assert distinct == len(full)
+
+    def test_an_empty_pair_list_takes_the_residue_path(self, monkeypatch):
+        # one element has no differences: the scan for repeats sees no pair
+        assert analyze._residue_counts([7], "diff", [0]) == ({}, 0, {})
+        monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", -1)
+        prof = rep_profile([7], "diff")
+        assert (prof.total_pairs, prof.distinct_values, prof.max_count) == (0, 0, 0)
 
     @pytest.mark.parametrize("mode", ["sum", "diff"])
     @pytest.mark.parametrize("family", [build_w(3, 10), build_w_circ(3, 12)], ids=["W", "Wcirc"])
@@ -571,8 +653,12 @@ class TestEnergy:
 
     @pytest.mark.parametrize(
         "points",
-        [[(0,), (1, 2)], [(0, 1), (2,)], [(0, 0), 5], [5, (0, 0)], [(0, 0), (1, 1), (0, 0)]],
-        ids=["ragged", "ragged-short-last", "mixed", "mixed-int-first", "duplicate"],
+        [
+            [(0,), (1, 2)], [(0, 1), (2,)], [(0, 0), (0, 1, 5)], [(0, 0), 5], [5, (0, 0)],
+            [(0, 0), (1, 1), (0, 0)],
+        ],
+        ids=["ragged", "ragged-short-last", "ragged-fake-grid", "mixed", "mixed-int-first",
+             "duplicate"],
     )
     def test_bad_points_are_rejected(self, points):
         # zip(*points) would cut ragged tuples to a two-point "grid"
@@ -646,6 +732,21 @@ class TestEnergy:
         for points in near_grids:
             assert analyze._grid_axes(points) is None
             _assert_energy_matches_enumeration(points)
+
+    def test_grids_are_never_embedded(self, monkeypatch):
+        # a grid is counted per axis, so no point needs its f2_embed key
+        import b2sets.construct as construct
+
+        points = build_product(4, 20).union_values()
+        expected = _factor_energy_products(4, 20)
+
+        def refuse(points):
+            raise AssertionError("a grid was embedded")
+
+        monkeypatch.setattr(construct, "f2_embed", refuse)
+        assert _energy_fields(additive_energy(points)) == expected
+        with pytest.raises(AssertionError):
+            additive_energy(points[1:])
 
     def test_products_beyond_enumeration(self):
         # 36,480 points, so about 1.3e9 ordered pairs, far above the

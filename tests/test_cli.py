@@ -146,9 +146,10 @@ ELEMENTS = "b2sets.elements/1"
         {"schema": ELEMENTS, "elements": [["0", "1"], ["2", "3"], ["0", "1"]]},
         {"schema": ELEMENTS, "elements": [["0", "0"], "5"]},
         {"schema": ELEMENTS, "elements": [["0"], ["1", "2"]]},
+        {"schema": ELEMENTS, "elements": [["0", "0"], ["0", "1", "5"]]},
     ],
     ids=["values-text", "no-elements", "elements-not-list", "digit-7", "overlong-decimal",
-         "duplicate-values", "duplicate-points", "mixed", "ragged"],
+         "duplicate-values", "duplicate-points", "mixed", "ragged", "ragged-fake-grid"],
 )
 def test_malformed_elements_are_a_config_error(source, tmp_path, capsys):
     # bad text, a digit outside [-2, 2], a decimal past the int-string
