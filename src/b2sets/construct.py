@@ -33,7 +33,6 @@ from .digitnum import DigitVector, as_int
 from .errors import EmptyConstruction, InternalVerificationFailure, ParameterError, ResourceCap
 
 ELEMENT_CAP = 10**7  # the most elements any build may produce
-EMBED_VERIFY_THRESHOLD = 100
 
 
 class TuplePoint(NamedTuple):
@@ -350,36 +349,6 @@ def build_family(
     raise ParameterError(f"unknown kind {kind!r}")
 
 
-def decode_element(family: SetFamily, value: DigitVector) -> tuple[tuple[int, ...], int]:
-    """Recover (coords, vector_index) from a W / Wcirc element value.
-
-    The value has exactly d digits, one per coordinate class modulo d; the
-    exponent i*d + c determines the index i and the digit sign recovers
-    the code vector. Raises if the value is not decodable.
-    """
-    if family.kind not in ("W", "Wcirc"):
-        raise ParameterError("decode_element needs a W or Wcirc family")
-    d = family.params["d"]
-    if len(value.digits) != d:
-        raise ValueError(f"value has {len(value.digits)} digits, expected {d}")
-    coords = [0] * d
-    signs = [0] * d
-    for e, c in value.digits:
-        if abs(c) != 1:
-            raise ValueError(f"digit {c} is not a sign")
-        col = e % d
-        col = d if col == 0 else col  # 1-based coordinate class
-        coords[col - 1] = (e - col) // d
-        signs[col - 1] = c
-    try:
-        j = family.code.vectors.index(tuple(signs)) + 1
-    except ValueError:
-        raise ValueError(f"sign pattern {signs} matches no code vector") from None
-    if any(i < 1 for i in coords):
-        raise ValueError("decoded index below 1")
-    return tuple(coords), j
-
-
 # -- structure-preserving transport ---------------------------------------
 
 
@@ -388,15 +357,14 @@ class F2Embedding(NamedTuple):
     a+b = c+d and a-b = c-d relations in both directions.
 
     base is 5 times the largest coordinate magnitude, so coordinate sums
-    of two points stay within (-base/2, base/2) and base-M expansions of
-    the images are unique; that argument certifies preservation even when
-    the set is too large for the pairwise check.
+    and differences of two points stay within (-base/2, base/2) and
+    balanced base-``base`` expansions of the images are unique; that
+    argument certifies preservation for every set, whatever its size.
     """
 
     base: int
     points: tuple[tuple[int, ...], ...]
     image: tuple[int, ...]
-    verification: str  # "exhaustive" | "certified"
 
     def decode(self, value: int) -> tuple[int, ...]:
         """The point mapped to ``value``: an image, or a sum or difference
@@ -420,44 +388,10 @@ def _as_point(x) -> tuple[int, ...]:
     return (as_int(x),)
 
 
-def relations_preserved(domain: list, image: list[int]) -> bool:
-    """Exact check that every sum and difference quadruple relation holds
-    in the domain iff it holds in the image.
-
-    Equivalent to the brute-force scan over all quadruples: grouping the
-    ordered pairs by domain value and by image value, the two partitions
-    must coincide, which is verified by requiring the domain-keyed map to
-    be single-valued and injective.
-    """
-    pts = [_as_point(p) for p in domain]
-    n = len(pts)
-    for mode in ("sum", "diff"):
-        seen: dict = {}
-        for i in range(n):
-            for j in range(n):
-                if mode == "sum":
-                    if j < i:
-                        continue
-                    dk = tuple(a + b for a, b in zip(pts[i], pts[j]))
-                    iv = image[i] + image[j]
-                else:
-                    if i == j:
-                        continue
-                    dk = tuple(a - b for a, b in zip(pts[i], pts[j]))
-                    iv = image[i] - image[j]
-                prev = seen.setdefault(dk, iv)
-                if prev != iv:
-                    return False
-        if len(set(seen.values())) != len(seen):
-            return False
-    return True
-
-
 def f2_embed(points) -> F2Embedding:
     """Embed a finite set of d-dimensional integer points into Z via
     point -> sum_i point[i] * base^(i+1) with base = 5 * max |coordinate|.
-    Up to EMBED_VERIFY_THRESHOLD points, every relation is also checked
-    pairwise."""
+    The base argument of F2Embedding certifies every relation."""
     pts = [_as_point(p) for p in points]
     if not pts:
         raise ParameterError("f2_embed requires a nonempty set")
@@ -472,17 +406,7 @@ def f2_embed(points) -> F2Embedding:
     image = tuple(sum(c * powers[i] for i, c in enumerate(p)) for p in pts)
     if len(set(image)) != len(image):
         raise InternalVerificationFailure("embedding image is not injective")
-    if len(pts) <= EMBED_VERIFY_THRESHOLD:
-        if not relations_preserved(pts, list(image)):
-            raise InternalVerificationFailure(
-                "embedding failed the pairwise relation check"
-            )
-        verification = "exhaustive"
-    else:
-        verification = "certified"
-    return F2Embedding(
-        base=base, points=tuple(pts), image=image, verification=verification
-    )
+    return F2Embedding(base=base, points=tuple(pts), image=image)
 
 
 def translate(elements, alpha):

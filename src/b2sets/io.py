@@ -17,6 +17,7 @@ InternalVerificationFailure (exit code 5).
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 
 from .construct import (
@@ -162,11 +163,12 @@ def save_family(family: SetFamily, path) -> None:
 def read_json(path):
     """The parsed contents of a JSON file. A path that cannot be read (a
     missing file, a directory, no permission), text that is not UTF-8,
-    malformed JSON, and an integer longer than the interpreter's
-    int-string limit (4,300 digits by default) are configuration errors."""
+    malformed JSON, arrays or objects nested too deeply to parse, and an
+    integer longer than the interpreter's int-string limit (4,300 digits
+    by default) are configuration errors."""
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParameterError(f"{path}: {exc}") from None
 
 
@@ -194,8 +196,9 @@ def elements_from_dict(data: dict):
 
 
 def parse_element(entry):
-    """An element as an int (or a pair of ints). Text that is neither
-    decimal nor sparse balanced base-5 is a ParameterError."""
+    """An element as an int, or a pair of ints from a list of two scalars.
+    Text that is neither decimal nor sparse balanced base-5, and a pair
+    whose coordinate is a list, are a ParameterError."""
     if isinstance(entry, bool):
         raise ParameterError(f"cannot parse element {entry!r}")
     if isinstance(entry, int):
@@ -205,9 +208,9 @@ def parse_element(entry):
             return DigitVector.parse(entry).to_integer()
         except ValueError as exc:
             raise ParameterError(f"element {entry[:40]!r}: {exc}") from None
-    if isinstance(entry, list) and len(entry) == 2:
+    if isinstance(entry, list) and len(entry) == 2 and not any(isinstance(c, list) for c in entry):
         return tuple(parse_element(c) for c in entry)
-    raise ParameterError(f"cannot parse element {entry!r}")
+    raise ParameterError(f"cannot parse element {reprlib.repr(entry)}")
 
 
 def save_elements(elements, path) -> None:

@@ -250,6 +250,29 @@ def brute_relations_preserved(domain, image):
     return True
 
 
+def pair_partitions_agree(domain, image):
+    """O(n^2) check that a map preserves every sum and difference
+    relation in both directions. Over unordered pairs for sums and over
+    ordered pairs of distinct points for differences, the pairs are
+    grouped by their domain value D and by their image value I; the two
+    groupings coincide iff |{D}| = |{I}| = |{(D, I)}|. Domain entries are
+    tuples of ints; image entries ints."""
+    n = len(domain)
+    sums = [
+        (vadd(domain[i], domain[j]), image[i] + image[j]) for i in range(n) for j in range(i, n)
+    ]
+    diffs = [
+        (vsub(domain[i], domain[j]), image[i] - image[j])
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
+    return all(
+        len({d for d, _ in pairs}) == len({v for _, v in pairs}) == len(set(pairs))
+        for pairs in (sums, diffs)
+    )
+
+
 def greedy_sidon(rng, pool_size, target):
     """A random Sidon set: scan a shuffled range, keeping elements that
     preserve distinct pairwise sums."""
@@ -284,6 +307,36 @@ def collision_values_by_formula(family):
                 for el in family.parts[0].elements
             }
     return out
+
+
+def decode_element(family, value):
+    """Recover (coords, vector_index) from a W / Wcirc element value.
+
+    The value has exactly d digits, one per coordinate class modulo d; the
+    exponent i*d + c determines the index i and the digit sign recovers
+    the code vector. Raises if the value is not decodable.
+    """
+    if family.kind not in ("W", "Wcirc"):
+        raise ParameterError("decode_element needs a W or Wcirc family")
+    d = family.params["d"]
+    if len(value.digits) != d:
+        raise ValueError(f"value has {len(value.digits)} digits, expected {d}")
+    coords = [0] * d
+    signs = [0] * d
+    for e, c in value.digits:
+        if abs(c) != 1:
+            raise ValueError(f"digit {c} is not a sign")
+        col = e % d
+        col = d if col == 0 else col  # 1-based coordinate class
+        coords[col - 1] = (e - col) // d
+        signs[col - 1] = c
+    try:
+        j = family.code.vectors.index(tuple(signs)) + 1
+    except ValueError:
+        raise ValueError(f"sign pattern {signs} matches no code vector") from None
+    if any(i < 1 for i in coords):
+        raise ValueError("decoded index below 1")
+    return tuple(coords), j
 
 
 def sampled_minors(rows, count=200, seed=0xB25):

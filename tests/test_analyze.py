@@ -96,7 +96,6 @@ class TestRepProfile:
         assert {v: sorted(pairs) for v, pairs in prof.repeated.items()} == {1: [(1, 0), (2, 1)]}
         assert prof.distinct_values == 2
         assert prof.max_count == 2
-        assert prof.zero_pairs == 3
         _assert_matches_oracle(prof, [0, 1, 2])
 
     def test_diff_witness_pairs(self):

@@ -259,7 +259,11 @@ class TestMeyerEmbed:
     def test_embed(self, tmp_path):
         out = tmp_path / "e.json"
         assert main(["embed", "--values", "5,25,125", "--out", str(out)]) == 0
-        assert read(out)["results"]["verification"] == "exhaustive"
+        report = read(out)
+        assert "verification" not in report["results"]
+        assert report["verdicts"] == [
+            {"check": "structure-preserving-embedding", "detail": "certified", "pass": True}
+        ]
 
 
 class TestReproducibility:

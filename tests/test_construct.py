@@ -11,17 +11,15 @@ from b2sets.construct import (
     build_proposition,
     build_w,
     build_w_circ,
-    decode_element,
     dyadic_pack,
     f2_embed,
     lattice_points,
-    relations_preserved,
     translate,
 )
 from b2sets.digitnum import DigitVector
 from b2sets.errors import EmptyConstruction, ParameterError, ResourceCap
 
-from oracles import brute_is_b2, brute_relations_preserved
+from oracles import brute_is_b2, brute_relations_preserved, decode_element, pair_partitions_agree
 
 
 class TestLattice:
@@ -230,15 +228,21 @@ class TestDecode:
             assert j == e.vector_index
 
 
+def _embed(points):
+    """f2_embed, with every relation checked by pair partitions."""
+    emb = f2_embed(points)
+    assert pair_partitions_agree(emb.points, list(emb.image))
+    return emb
+
+
 class TestEmbedding:
     def test_example(self):
-        emb = f2_embed([(1, 0), (0, 1), (2, 3)])
+        emb = _embed([(1, 0), (0, 1), (2, 3)])
         assert emb.base == 15
         assert set(emb.image) == {15, 225, 705}
-        assert emb.verification == "exhaustive"
 
     def test_singleton(self):
-        emb = f2_embed([(7,)])
+        emb = _embed([(7,)])
         assert emb.base == 35
         assert emb.image == (245,)
 
@@ -248,21 +252,22 @@ class TestEmbedding:
             pts = list(
                 {(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)}
             )
-            emb = f2_embed(pts)
+            emb = _embed(pts)
             assert brute_relations_preserved(emb.points, list(emb.image))
 
     def test_fast_check_rejects_bad_maps(self):
-        # collapsing map: fails injectivity of the pair partition
+        # a collapsing map and one that breaks 0 + 2 = 1 + 1 fail the pair
+        # partition check, as they fail the literal quadruple scan
         pts = [(0,), (1,), (2,)]
-        assert not relations_preserved(pts, [0, 1, 1])
-        assert not relations_preserved(pts, [0, 1, 3])
-        assert relations_preserved(pts, [0, 10, 20])
+        for image, preserved in (([0, 1, 1], False), ([0, 1, 3], False), ([0, 10, 20], True)):
+            assert pair_partitions_agree(pts, image) is preserved
+            assert brute_relations_preserved(pts, image) is preserved
 
     def test_translate_then_embed_consistent(self):
         pts = [(1, 2), (3, 4), (0, 7), (5, 5)]
         moved = translate(pts, (10, -3))
-        emb_a = f2_embed(moved)
-        emb_b = f2_embed(pts)
+        emb_a = _embed(moved)
+        emb_b = _embed(pts)
         shifted = translate(list(emb_b.image), 1000)
         assert brute_relations_preserved(emb_a.points, list(emb_a.image))
         assert brute_relations_preserved([(v,) for v in emb_b.image], shifted)
@@ -276,7 +281,7 @@ class TestEmbedding:
                 tuple(rng.randint(-span, span) for _ in range(dim))
                 for _ in range(rng.randint(1, 12))
             })
-            emb = f2_embed(pts)
+            emb = _embed(pts)
             for i, (p, x) in enumerate(zip(emb.points, emb.image)):
                 assert emb.decode(x) == p
                 for q, y in zip(emb.points[i:], emb.image[i:]):
@@ -285,7 +290,7 @@ class TestEmbedding:
                     assert emb.decode(y - x) == tuple(b - a for a, b in zip(p, q))
 
     def test_decode_lone_origin(self):
-        emb = f2_embed([(0, 0, 0)])
+        emb = _embed([(0, 0, 0)])
         assert emb.base == 0
         assert emb.decode(emb.image[0]) == (0, 0, 0)
         assert emb.decode(2 * emb.image[0]) == (0, 0, 0)

@@ -398,15 +398,18 @@ class TestNoLargeSubsetCertificate:
             no_large_bsubset_certificate(prod, g=1, delta_prime=Fraction(1, 2))
 
     def test_delta_one_consistency_with_direct_checks(self):
-        # verdict true would certify the union is neither kind of
-        # bounded-repetition set; whenever it fires, the direct checks
-        # must agree
+        # on product(5,19) neither branch's forced pairs overflow its
+        # capacity, so the certificate's FAIL is inconclusive; the direct
+        # checks show the union is neither kind of bounded-repetition set,
+        # so no check contradicts it
         prod = build_product(5, 19)
         cert = no_large_bsubset_certificate(prod, g=1, delta_prime=1)
-        if cert.verdict:
-            vals = prod.union_values()
-            assert not is_b2(vals, 1).passed
-            assert not is_b2_circ(vals, 1).passed
+        assert cert.verdict is False
+        assert (cert.sum_branch["pair_mass"], cert.sum_branch["capacity"]) == (3, 10)
+        assert (cert.diff_branch["pair_mass"], cert.diff_branch["capacity"]) == (72, 213)
+        vals = prod.union_values()
+        assert is_b2(vals, 1).max_count == 4
+        assert is_b2_circ(vals, 1).max_count == 120
 
     def test_branch_counts_exact(self):
         prod = build_product(6, 30)

@@ -209,15 +209,32 @@ def _overlong_n(path):
     path.write_text(text)
 
 
+def _nested_pair(path):
+    # [[[..., 1], 1], 1]: one element, a pair nested 980 deep, written as
+    # text so that building the file needs no recursion
+    depth = 980
+    path.write_text(
+        '{"schema": "b2sets.elements/1", "elements": [' + "[" * depth + "1" + ", 1]" * depth + "]}"
+    )
+
+
 @pytest.mark.parametrize(
     "make",
-    [_overlong_n, lambda path: path.write_bytes(b"\xff\xfe{}"), Path.mkdir],
-    ids=["overlong-int", "not-utf8", "directory"],
+    [
+        _overlong_n,
+        lambda path: path.write_bytes(b"\xff\xfe{}"),
+        Path.mkdir,
+        lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+        _nested_pair,
+    ],
+    ids=["overlong-int", "not-utf8", "directory", "nested-arrays", "nested-pair"],
 )
 def test_unreadable_json_is_a_config_error(make, tmp_path):
     # json.loads raises a plain ValueError for an integer longer than the
-    # int-string limit (4,300 digits), read_text one for bytes that are
-    # not UTF-8 and an OSError for a directory; none may end in a
+    # int-string limit (4,300 digits) and a RecursionError for arrays
+    # nested too deeply, read_text a ValueError for bytes that are not
+    # UTF-8 and an OSError for a directory; a pair whose coordinate is not
+    # a scalar is rejected without recursing into it. None may end in a
     # traceback. (An unreadable file is the same OSError branch.)
     path = tmp_path / "bad.json"
     make(path)
@@ -270,6 +287,8 @@ def test_parse_element_forms():
     assert parse_element(["5^1", "-1"]) == (5, -1)
     with pytest.raises(ParameterError):
         parse_element(True)
+    with pytest.raises(ParameterError):
+        parse_element([[1, 2], 3])
 
 
 def test_reject_unknown_schema(tmp_path):

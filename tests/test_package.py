@@ -2,8 +2,10 @@
 module, which is loaded the first time one of its names is used, so a
 caller that needs only the analysis engine loads only that."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ PUBLIC = {
     ],
     "construct": [
         "F2Embedding", "SetFamily", "build_meyer", "build_product", "build_proposition",
-        "build_w", "build_w_circ", "decode_element", "dyadic_pack", "f2_embed",
+        "build_w", "build_w_circ", "dyadic_pack", "f2_embed",
         "lattice_points", "translate",
     ],
     "decompose": [
@@ -62,11 +64,35 @@ def test_imports_load_only_what_they_use():
 
 
 def test_public_names():
-    assert len(NAMES) == 37
+    assert len(NAMES) == 36
     assert sorted(b2sets.__all__) == sorted(name for _, name in NAMES)
     namespace = {}
     exec("from b2sets import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(b2sets.__all__)
+
+
+def _outside_definition(path, name):
+    """The text of ``path`` without the top-level def or class of ``name``."""
+    text = path.read_text()
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            del lines[node.lineno - 1 : node.end_lineno]
+    return "\n".join(lines)
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # no public path may be reachable only from tests: each name appears
+    # in another module of the package or in a demo, outside its own
+    # definition
+    files = [p for p in Path(b2sets.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    files += Path(__file__).parents[1].joinpath("demos").glob("*.py")
+    unused = [
+        name
+        for name in b2sets.__all__
+        if not any(re.search(rf"\b{name}\b", _outside_definition(p, name)) for p in files)
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize("module, name", NAMES, ids=[name for _, name in NAMES])
