@@ -5,27 +5,29 @@ subset doubling audits.
 Everything here is exact counting on plain Python ints. Integers and
 DigitVectors are compared by their integer values. Planar points (the
 product family) go through one order-preserving map into the integers,
-``f2_embed`` of the reversed coordinates: the first coordinate is the
-most significant and the base exceeds four times the largest coordinate
-magnitude. The map preserves every sum and difference relation in both
-directions, int order is the lexicographic order of the points, and the
-sign of an int is the sign of its point's first nonzero coordinate.
-Values handed back to callers are decoded to points. ``construct``, which
-holds ``f2_embed``, is loaded for planar input only, so a caller with ints
-never loads it.
+``f2_embed`` of the reversed coordinates divided by its base: the first
+coordinate is the most significant and the base exceeds four times the
+largest coordinate magnitude. The map preserves every sum and difference
+relation in both directions, int order is the lexicographic order of the
+points, and the sign of an int is the sign of its point's first nonzero
+coordinate. Values handed back to callers are decoded to points.
+``construct``, which holds ``f2_embed``, is loaded for planar input only,
+so a caller with ints never loads it.
 
 All pair enumeration runs through one kernel over the keys sorted in
 descending order. Up to FULL_MAP_PAIR_LIMIT pairs, a full value->count
-map is built. Above it, each pair value is first reduced to its residue
-mod the prime 2^31 - 19, computed from the keys' residues in a numpy
-uint32 array (about 4 bytes per pair, against about 97 for a hash-table
-entry). The residue is a function of the value, so every repeated value
-has a repeated residue; after one sort and a scan for equal neighbours
-in fixed chunks, only the pairs whose residue repeats, those of repeated
-values and about N^2/p of N others, are counted exactly as Python ints.
-Reported counts are exact, and Python-object memory stays proportional
-to the number of flagged values. numpy is imported only on that path, so
-calls below the limit never load it. The bounded-repetition checks and
+map is built. Above it, each pair value is reduced to a residue mod the
+prime 2^31 - 19, computed from the keys' residues with numpy, one range
+of residues at a time: a range holds at most 2^17 pairs unless it is a
+single residue, so the arrays grow with the pair count only where more
+pairs than that share one residue. The residue is a function of
+the value, so every repeated value has a repeated residue; only the
+pairs whose residue repeats in its range and whose residue mod a second
+prime, 2^31 - 61, repeats too are counted exactly as Python ints: those
+of repeated values and about N^2/(pq) of N others. Reported counts are
+exact, and Python-object memory stays proportional to the number of
+repeated values. numpy is imported only on that path, so calls below the
+limit never load it. The bounded-repetition checks and
 the energies skip the kernel on dense keys, whose span is at most
 DENSE_SPAN_FACTOR times their number: one big-int product of the keys'
 indicator polynomial holds every count in the same conventions, and no
@@ -55,7 +57,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, compress, starmap
+from itertools import combinations, combinations_with_replacement, compress, repeat, starmap
 from math import prod
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
@@ -75,6 +77,10 @@ DENSE_SPAN_FACTOR = 24
 # a primitive root, so powers of two do not cluster as mod 2^61 - 1, the
 # modulus of Python's int hash, where 2^i is 2^(i mod 61).
 RESIDUE_PRIME = 2147483629
+# 2^31 - 61, also with primitive root 2: a pair whose residue repeats mod
+# RESIDUE_PRIME is counted as an int only if its residue mod this prime
+# repeats too among the pairs of its range
+SECOND_PRIME = 2147483587
 WITNESS_CAP = 10
 EXHAUSTIVE_AUDIT_LIMIT = 20
 
@@ -118,14 +124,18 @@ def _int_keys(points):
     the first coordinate is the most significant and the base, five times
     the largest coordinate magnitude, exceeds four times it: key order is
     the lexicographic order of the points, and a key difference has the
-    sign of the first nonzero coordinate difference.
+    sign of the first nonzero coordinate difference. Every image is a
+    multiple of the base, so the keys are the images divided by it (by 1
+    for a lone origin, whose base is 0): a dilation, which keeps every
+    relation and the order, and the decoder multiplies back.
     """
     if not any(isinstance(p, tuple) for p in points):
         return points, _identity
     from .construct import f2_embed
 
     emb = f2_embed([p[::-1] if isinstance(p, tuple) else p for p in points])
-    return list(emb.image), lambda value: emb.decode(value)[::-1]
+    base = emb.base or 1
+    return [k // base for k in emb.image], lambda value: emb.decode(value * base)[::-1]
 
 
 def _identity(value):
@@ -181,8 +191,9 @@ def _count_values(desc, mode, order=None):
 
     Up to FULL_MAP_PAIR_LIMIT pairs ``counts`` holds every value. Above
     it ``counts`` keeps only the repeated values, found through their
-    residues mod RESIDUE_PRIME (``_residue_counts``, which imports numpy
-    on first use and holds about 4 bytes per pair); a value missing from
+    residues mod RESIDUE_PRIME one range at a time (``_residue_counts``,
+    which imports numpy on first use and holds one range of at most 2^17
+    pairs, or of a single residue, at once); a value missing from
     ``counts`` then occurs exactly once.
     """
     if _pair_total(len(desc), mode) > FULL_MAP_PAIR_LIMIT:
@@ -195,79 +206,149 @@ def _count_values(desc, mode, order=None):
 
 
 def _residue_counts(desc, mode, order):
-    """``_count_values`` above FULL_MAP_PAIR_LIMIT, in about 4 bytes per pair.
+    """``_count_values`` above FULL_MAP_PAIR_LIMIT, one residue range at a time.
 
-    A pair value's residue mod the prime p = 2^31 - 19 is a function of the
-    value: (r_a + r_b) mod p for a sum, (r_a + (p - r_b)) mod p for a
-    difference, where r is a key's residue (both sums are below 2p < 2^32).
-    So a value with two or more pairs has a residue that occurs two or more
-    times. All residues go into one uint32 array, which is sorted in place
-    and scanned in chunks for equal neighbours; a residue that occurs once
-    belongs to a value that occurs once. A second pass over the rows flags
-    the pairs whose residue repeats, and only those are counted exactly as
-    Python ints, in enumeration order, with their positions. About N^2/p
-    of N pairs have distinct values that share a residue, so this count
-    grows as N^2: 40.5M random sums take 2.2 s against 0.95 s mod a 61-bit
-    prime, and with positions the ints outgrow the 4 B/pair saved near 6e7.
+    A pair's key is a function of its value: the residue mod p =
+    RESIDUE_PRIME, (r_a + r_b) mod p for a sum, and for a difference
+    min(d, p - d) with d = (r_a - r_b) mod p, which does not depend on
+    which key is larger (r is a key's residue). So a repeated value has a
+    repeated key, and no value spans two key ranges. With the keys sorted
+    by residue, row t pairs key t with the keys u >= t (u > t for
+    differences), and its pair keys form two sorted runs: for sums, those
+    below p and those that wrap once; for differences, d up to p/2 and the
+    rest, whose keys fall. So one searchsorted per run bound gives every
+    row's slice, and the exact pair count, of any key range. The ranges
+    are cut from the pair counts below evenly spaced keys to hold at most
+    ``cap`` = 2^17 pairs each, unless a range is a single key. A range's keys are
+    gathered, sorted and scanned for repeats, and the pairs whose key
+    repeats and whose residue mod SECOND_PRIME also repeats are counted
+    exactly as Python ints; the others occur once. Memory is O(n + cap +
+    the pairs of the largest single key + the pairs counted as ints), and
+    the pair lists are put in enumeration order, the values in the order
+    of their first pair.
     """
     import numpy as np
 
-    p = np.uint32(RESIDUE_PRIME)
-    first = 0 if mode == "sum" else 1  # row a pairs desc[a] with desc[a + first:]
-    res = np.array([k % RESIDUE_PRIME for k in desc], dtype=np.uint32)
-    other = res if mode == "sum" else p - res  # the residues of +b or -b
+    n, p, diff = len(desc), RESIDUE_PRIME, mode == "diff"
+    # the most pairs a range of several keys holds; 2^16 was slower on
+    # Wcirc(5,45) and 2^18 peaked higher on both scale sets
+    cap = 1 << 17
+    res = np.array([k % p for k in desc], dtype=np.int64)
+    sigma = np.argsort(res, kind="stable")  # row t is key desc[sigma[t]]
+    s = res[sigma]
+    s2 = np.array([desc[i] % SECOND_PRIME for i in sigma.tolist()], dtype=np.int64)
+    floor = np.arange(n) + diff  # row t pairs with the rows u >= floor[t]
 
-    def row(a, out=None):
-        return np.remainder(np.add(other[a + first :], res[a], out=out), p, out=out)
+    def bounds(x, rows=slice(None)):
+        """Per row, where each run crosses key x: run 1 has its keys below
+        x before it, run 2 before it for sums and after it for differences.
+        x is a key or a column of keys."""
+        st, fl = s[rows], floor[rows]
+        one, two = (st + x, st + (p + 1) - x) if diff else (x - st, p + x - st)
+        return np.maximum(np.searchsorted(s, one), fl), np.maximum(np.searchsorted(s, two), fl)
 
-    n = len(desc)
-    residues = np.empty(_pair_total(n, mode), dtype=np.uint32)
-    start = 0
-    for a in range(n - first):
-        stop = start + n - a - first
-        row(a, residues[start:stop])
-        start = stop
-    residues.sort()
-    equal, repeats = 0, []
-    for s in range(0, max(len(residues), 1), 1 << 18):  # >= 1 chunk, overlapping by one
-        chunk = residues[s : s + (1 << 18) + 1]
-        same = chunk[1:] == chunk[:-1]
-        equal += int(np.count_nonzero(same))
-        repeats.append(np.unique(chunk[1:][same]))
-    repeated = np.unique(np.concatenate(repeats))
-    singles = len(residues) - equal - len(repeated)
-    del residues, chunk
-    if not len(repeated):
-        return {}, singles, {}
+    def ranges(lo, hi, pairs):
+        """(end, pair count) of consecutive key ranges covering [lo, hi),
+        each of at most cap pairs unless it is a single key."""
+        if pairs <= cap or hi - lo == 1:
+            yield hi, pairs
+            return
+        k = min(hi - lo, 2 * pairs // cap + 1)
+        edges = [lo + (hi - lo) * i // k for i in range(k + 1)]
+        below = np.zeros(k + 1, dtype=np.int64)  # the pairs with keys below each edge
+        step = max(1, cap // 8 // (k + 1))  # rows per block of counts
+        for a in range(0, n, step):
+            rows = slice(a, a + step)
+            one, two = bounds(np.array(edges)[:, None], rows)
+            below += (one - zero[0][rows]).sum(axis=1) + abs(two - zero[1][rows]).sum(axis=1)
+        below, start = below.tolist(), 0
+        for i in range(1, k + 1):
+            if below[i] - below[start] > cap and i - 1 > start:
+                yield edges[i - 1], below[i - 1] - below[start]
+                start = i - 1
+            if below[i] - below[start] > cap:
+                yield from ranges(edges[start], edges[i], below[i] - below[start])
+                start = i
+        if start < k:
+            yield hi, below[k] - below[start]
 
-    # a direct-address table of the low residue bits passes every repeated
-    # residue and few others; the binary search then runs on those alone
-    table = np.zeros(1 << max(16, (16 * len(repeated)).bit_length()), dtype=bool)
+    def flagged(starts, lens, m):
+        """The range's pairs whose key and residue mod SECOND_PRIME both
+        repeat, as a * n + b for desc indices a <= b. Run j is run 1 of row
+        j for j < n and run 2 of row j - n after, and pairs its row with
+        the lens[j] rows from starts[j]."""
+        firsts = np.cumsum(lens) - lens
+        u = np.repeat((starts - firsts).astype(np.int32), lens)
+        u += np.arange(m, dtype=np.int32)
+        key = su[u]
+        del u
+        key += np.repeat(shift, lens)
+        if diff:  # run 2 holds the keys p - d
+            key[firsts[n] :] = np.uint32(p) - key[firsts[n] :]
+        sk = np.sort(key)
+        repeated = sk[1:][sk[1:] == sk[:-1]]
+        del sk
+        if not len(repeated):
+            return key[:0]
+        # a direct-address table of the low key bits passes every repeated
+        # key and few others, which the second residue drops with the rest
+        table[repeated & low] = True
+        hits = np.flatnonzero(table[key & low])
+        table[repeated & low] = False
+        row = np.searchsorted(firsts, hits, side="right") - 1
+        t, u = run[row], starts[row] + hits - firsts[row]
+        both = (s2[u] - s2[t] if diff else s2[u] + s2[t]) % SECOND_PRIME
+        if diff:
+            both = np.minimum(both, SECOND_PRIME - both)
+        both |= key[hits].astype(np.int64) << 32
+        by_key = np.argsort(both)
+        same = np.diff(both[by_key]) == 0
+        keep = by_key[np.concatenate(([False], same)) | np.concatenate((same, [False]))]
+        a, b = sigma[t[keep]], sigma[u[keep]]
+        return np.minimum(a, b) * n + np.maximum(a, b)
+
+    su = s.astype(np.uint32)
+    run = np.concatenate((np.arange(n), np.arange(n)))  # the row of each run
+    # added to a partner's residue as a wrapping uint32: s_u + s_t, less p
+    # in run 2 of the sums, and d = s_u - s_t for the differences
+    shift = (np.concatenate((-s, -s) if diff else (s, s - p)) % (1 << 32)).astype(np.uint32)
+    table = np.zeros(1 << 16, dtype=bool)
     low = np.uint32(len(table) - 1)
-    table[repeated & low] = True
-    op = add if mode == "sum" else sub
-    counts: Counter = Counter()
-    groups: dict = {}
-    for a in range(n - first):
-        r = row(a)
-        hits = np.flatnonzero(table[r & low])
-        hits = hits[repeated.take(np.searchsorted(repeated, r[hits]), mode="clip") == r[hits]]
-        if not len(hits):
+    op = sub if diff else add
+    positions = None if order is None else np.array(order)
+    counts, groups, distinct = {}, [], 0
+    zero = bounds(0)
+    lo1, lo2 = zero
+    for hi, m in ranges(0, (p + 1) // 2 if diff else p, _pair_total(n, mode)):
+        hi1, hi2 = bounds(hi)
+        starts = np.concatenate((lo1, hi2 if diff else lo2))
+        lens = np.concatenate((hi1 - lo1, lo2 - hi2 if diff else hi2 - lo2))
+        lo1, lo2 = hi1, hi2
+        if not m:
             continue
-        bs = (hits + (a + first)).tolist()
-        ka = desc[a]
-        values = [op(ka, desc[b]) for b in bs]
-        counts.update(values)
-        if order is not None:
-            i = order[a]
-            for v, b in zip(values, bs):
-                j = order[b]
-                groups.setdefault(v, []).append((j, i) if mode == "sum" and i > j else (i, j))
-    distinct = singles + len(counts)
-    counts = {v: c for v, c in counts.items() if c >= 2}
-    if order is not None:
-        groups = {v: groups[v] for v in counts}
-    return counts, distinct, groups
+        lin = flagged(starts, lens, m)
+        a, b = np.divmod(lin, n)
+        values = list(map(op, map(desc.__getitem__, a.tolist()), map(desc.__getitem__, b.tolist())))
+        found = Counter(values)
+        distinct += m - len(values) + len(found)
+        repeated = {v: c for v, c in found.items() if c > 1}
+        counts.update(repeated)
+        if order is not None and repeated:
+            # each repeated value's pairs, in enumeration order
+            index = dict(zip(repeated, range(len(repeated))))
+            ids = np.fromiter(map(index.get, values, repeat(-1)), dtype=np.int64, count=len(values))
+            lin, ids = lin[ids >= 0], ids[ids >= 0]
+            lin = lin[np.lexsort((lin, ids))]
+            i, j = positions[lin // n], positions[lin % n]
+            if not diff:
+                i, j = np.minimum(i, j), np.maximum(i, j)
+            pairs = list(zip(i.tolist(), j.tolist()))
+            ends = np.cumsum(list(repeated.values()))
+            firsts = ends - list(repeated.values())
+            for v, f, e, x in zip(repeated, firsts.tolist(), ends.tolist(), lin[firsts].tolist()):
+                groups.append((x, v, pairs[f:e]))
+    # the values in the order of their first pairs
+    return counts, distinct, {v: pairs for _, v, pairs in sorted(groups)}
 
 
 def _pair_groups(order, desc, mode, wanted):

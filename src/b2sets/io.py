@@ -17,6 +17,7 @@ InternalVerificationFailure (exit code 5).
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from pathlib import Path
 
@@ -205,9 +206,16 @@ def parse_element(entry):
         return entry
     if isinstance(entry, str):
         try:
-            return DigitVector.parse(entry).to_integer()
+            value = DigitVector.parse(entry)
         except ValueError as exc:
             raise ParameterError(f"element {entry[:40]!r}: {exc}") from None
+        # a sparse power 5^e is built only if it has fewer decimal digits
+        # than int() converts by default (4,300), the bound decimal text has
+        if "^" in entry and value.digits:
+            top = value.digits[-1][0]
+            if top * math.log10(5) >= 4300:
+                raise ParameterError(f"element {entry[:40]!r}: 5^{top} has too many digits")
+        return value.to_integer()
     if isinstance(entry, list) and len(entry) == 2 and not any(isinstance(c, list) for c in entry):
         return tuple(parse_element(c) for c in entry)
     raise ParameterError(f"cannot parse element {reprlib.repr(entry)}")

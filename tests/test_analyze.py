@@ -130,6 +130,22 @@ class TestPlanarKeys:
             assert decode(ka - kb) == d
             assert (ka > kb) == (d > (0, 0))
 
+    def test_product_keys_are_the_images_divided_by_the_base(self):
+        # Every f2_embed image is a multiple of its base, so dividing by it
+        # is a dilation: product(5,19)'s keys shrink from 874 to 553 bits,
+        # and each key, sum and difference still decodes to its point.
+        points = [tuple(map(int, p)) for p in build_product(5, 19).union_values()]
+        keys, decode = canonical_keys(points)
+        emb = f2_embed([p[::-1] for p in points])
+        assert max(k.bit_length() for k in emb.image) == 874
+        assert keys == [k // emb.base for k in emb.image]
+        assert max(k.bit_length() for k in keys) == 553
+        assert [decode(k) for k in keys] == points
+        for (a, ka), (b, kb) in zip(zip(points, keys), zip(points[7:], keys[7:])):
+            assert decode(ka + kb) == (a[0] + b[0], a[1] + b[1])
+            assert decode(ka - kb) == (a[0] - b[0], a[1] - b[1])
+        assert canonical_keys([(0, 0)])[0] == [0]
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ParameterError):
             canonical_keys([1, (2, 3)])
@@ -225,6 +241,18 @@ class TestResiduePrime:
         assert factors == {2, 3, 59652323}
         assert all(pow(2, (p - 1) // q, p) != 1 for q in factors)
 
+    def test_second_prime_is_another_prime_with_primitive_root_2(self):
+        # A pair flagged mod RESIDUE_PRIME is counted as an int only if its
+        # residue mod SECOND_PRIME also repeats; two distinct values share
+        # both residues only if p * q divides their difference.
+        q = analyze.SECOND_PRIME
+        assert q == 2**31 - 61 != RESIDUE_PRIME
+        assert is_prime(q)
+        assert 2 * q < 2**32
+        factors = {2, 3, 357913931}
+        assert math.prod(factors) == q - 1 and all(map(is_prime, factors))
+        assert all(pow(2, (q - 1) // f, q) != 1 for f in factors)
+
     def test_sums_of_powers_of_two_keep_distinct_residues(self):
         # Mod 2^61 - 1, the modulus of Python's int hash, 2^i is 2^(i mod
         # 61), and these 245,350 sums share 1,891 residues.
@@ -318,14 +346,30 @@ class TestCountingPaths:
         assert surrogate.distinct_values == total and surrogate.max_count == 1
 
     @pytest.mark.parametrize("mode", ["sum", "diff"])
-    def test_residue_memory_is_4_bytes_a_pair(self, mode):
-        # 2,000 random 100-bit keys: 2,001,000 sums or 1,999,000
-        # differences, none repeated. The residues are uint32 and the scan
-        # for repeats holds one chunk at a time; numpy reports its buffers
-        # to tracemalloc. A uint64 array alone would be 8 bytes a pair.
+    def test_false_flags_build_almost_no_ints(self, mode, monkeypatch):
+        # 3,000 random 100-bit keys: 4,501,500 sums or 4,498,500
+        # differences, all distinct. About N^2/p of those pairs share a
+        # residue mod RESIDUE_PRIME with another; a residue mod SECOND_PRIME
+        # tells them apart before any int is built. Every pair value the
+        # kernel builds goes through analyze.add or analyze.sub.
+        desc = sorted(_random_keys(3000, seed=4), reverse=True)
+        built = []
+        for name in ("add", "sub"):
+            op = getattr(analyze, name)
+            monkeypatch.setattr(analyze, name, lambda a, b, op=op: built.append(1) or op(a, b))
+        total = analyze._pair_total(len(desc), mode)
+        assert analyze._count_values(desc, mode) == ({}, total, {})
+        assert len(built) < 100
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_residue_memory_is_fixed(self, mode):
+        # 6,000 random 100-bit keys: 18,003,000 sums or 17,997,000
+        # differences, none repeated. One residue range of at most 2^17
+        # pairs, the kernel's cap, is held at a time; numpy reports its buffers
+        # to tracemalloc. Their residues alone would be 72 MB as uint32.
         import numpy  # noqa: F401  (loaded before tracing)
 
-        desc = sorted(_random_keys(2000, seed=2), reverse=True)
+        desc = sorted(_random_keys(6000, seed=2), reverse=True)
         total = analyze._pair_total(len(desc), mode)
         tracemalloc.start()
         try:
@@ -334,23 +378,95 @@ class TestCountingPaths:
         finally:
             tracemalloc.stop()
         assert (counts, distinct) == ({}, total)
-        assert peak <= 6 * total
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("mode", ["sum", "diff"])
-    def test_repeats_straddle_the_chunks_of_the_scan(self, mode):
+    def test_repeats_span_several_ranges(self, mode):
         # range(800) has 320,400 sums and 319,600 differences, more than
-        # one chunk of 2^18 neighbour comparisons, and every value but the
-        # extreme ones repeats, so a run of equal residues crosses the
-        # boundary: a comparison lost or made twice there changes the count
-        # of distinct values.
+        # two ranges of 2^17 pairs, the kernel's cap, and every value but the
+        # extreme ones repeats: a pair lost or counted twice where two
+        # ranges meet changes the counts or the number of distinct values.
         desc = list(range(799, -1, -1))
+        assert analyze._pair_total(800, mode) > 2 * 2**17
         full = Counter(analyze._pair_values(desc, mode))
         counts, distinct, _ = analyze._count_values(desc, mode)
         assert counts == {v: c for v, c in full.items() if c >= 2}
         assert distinct == len(full)
 
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            _dilated(_seeded_ints(800, seed=8), 25),
+            _seeded_points(800, seed=8),
+            build_w(3, 40).union_values(),
+            build_w_circ(5, 32).union_values(),
+            _random_keys(800, seed=8, bits=40),
+        ],
+        ids=["ints", "points", "W", "Wcirc", "random"],
+    )
+    def test_ranges_match_the_full_map(self, elements, mode, monkeypatch):
+        # Each set has more than 2 * 2^17 pairs, so it spans several ranges
+        # of the kernel's cap. The profile lists every repeated value with
+        # its pairs: the dict's key order and each value's pair order must
+        # be the full map's, so reports keep their bytes; the energy and
+        # verdicts must agree too.
+        full = rep_profile(elements, mode), additive_energy(elements)
+        verdicts = [check(elements, 2) for check in (is_b2, is_b2_circ)]
+        monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", 0)
+        monkeypatch.setattr(analyze, "DENSE_SPAN_FACTOR", -1)
+        assert analyze._pair_total(len(elements), mode) > 2 * 2**17
+        ranged = rep_profile(elements, mode), additive_energy(elements)
+        assert ranged == full
+        assert list(ranged[0].repeated.items()) == list(full[0].repeated.items())
+        assert [check(elements, 2) for check in (is_b2, is_b2_circ)] == verdicts
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_a_residue_shared_by_every_pair_is_counted_exactly(self, mode):
+        # Keys dilated by RESIDUE_PRIME have residue 0, so every pair has
+        # key 0: one range of a single key, over the cap of 2^17 pairs,
+        # sorted and filtered whole. Dilation keeps every count and pair.
+        elements = _seeded_ints(600, seed=9)
+        keys = _dilated(elements, RESIDUE_PRIME)
+        assert analyze._pair_total(600, mode) > 2**17
+        order, desc = analyze._descending(keys)
+        counts, distinct, groups = analyze._residue_counts(desc, mode, order)
+        full = Counter(analyze._pair_values(desc, mode))
+        assert counts == {v: c for v, c in full.items() if c >= 2}
+        assert distinct == len(full)
+        dense = rep_profile(elements, mode)
+        assert list(groups.items()) == [
+            (RESIDUE_PRIME * v, pairs) for v, pairs in dense.repeated.items()
+        ]
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_several_crowded_keys_are_counted_exactly(self, mode):
+        # Keys P*i + (i mod 3), 520 of each residue, so their 1.2M pairs
+        # share five or three keys, each over the cap of 2^17 pairs,
+        # between ranges of no pairs at all.
+        keys = [RESIDUE_PRIME * i + i % 3 for i in range(-780, 780)]
+        order, desc = analyze._descending(keys)
+        counts, distinct, groups = analyze._residue_counts(desc, mode, order)
+        full = Counter(analyze._pair_values(desc, mode))
+        assert counts == {v: c for v, c in full.items() if c >= 2}
+        assert distinct == len(full)
+        assert list(groups.items()) == list(
+            analyze._pair_groups(order, desc, mode, set(counts)).items()
+        )
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_ranges_without_a_repeated_key(self, mode):
+        # The Erdos-Turan Sidon set 2qi + (i^2 mod q), i < q = 701: its
+        # 246,051 sums and 245,350 differences are distinct and below p,
+        # so no range of the kernel holds a repeated key.
+        q = 701
+        desc = sorted((2 * q * i + i * i % q for i in range(q)), reverse=True)
+        total = analyze._pair_total(q, mode)
+        assert total > 2**17
+        assert analyze._count_values(desc, mode, list(range(q))) == ({}, total, {})
+
     def test_an_empty_pair_list_takes_the_residue_path(self, monkeypatch):
-        # one element has no differences: the scan for repeats sees no pair
+        # one element has no differences: no range holds a pair
         assert analyze._residue_counts([7], "diff", [0]) == ({}, 0, {})
         monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", -1)
         prof = rep_profile([7], "diff")

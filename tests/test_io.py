@@ -291,6 +291,31 @@ def test_parse_element_forms():
         parse_element([[1, 2], 3])
 
 
+def test_sparse_power_past_the_int_string_limit_is_a_config_error():
+    # 5^99999999999 would be an int of about 29 GB; the exponent is checked
+    # before any power is built, against the digits int() converts by
+    # default, so the child exits 2 at once. Its timeout turns a hang into
+    # a failure.
+    env = dict(os.environ, PYTHONPATH=str(Path(b2sets.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "b2sets.cli", "analyze", "--values", "5^1+5^99999999999",
+         "--check", "b2"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    # 5^6151 has 4,300 digits and 5^6152 has 4,301; a 4,300-digit decimal,
+    # whose balanced expansion may reach 5^6152, is still read
+    limit = 4300
+    assert len(str(parse_element("5^6151"))) == limit
+    with pytest.raises(ParameterError):
+        parse_element("-2*5^6152+5^3")
+    assert parse_element("9" * limit) == 10**limit - 1
+
+
 def test_reject_unknown_schema(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"schema": "nope/9"}))
