@@ -58,8 +58,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, compress, repeat, starmap
-from math import prod
-from operator import add, mul, sub
+from math import gcd, prod
+from operator import add, mod, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .digitnum import as_int
@@ -81,6 +81,7 @@ RESIDUE_PRIME = 2147483629
 # RESIDUE_PRIME is counted as an int only if its residue mod this prime
 # repeats too among the pairs of its range
 SECOND_PRIME = 2147483587
+AUDIT_PRIME = 1073741789  # 2^30 - 35: a residue is one 30-bit digit of an int
 WITNESS_CAP = 10
 EXHAUSTIVE_AUDIT_LIMIT = 20
 
@@ -136,6 +137,14 @@ def _int_keys(points):
     emb = f2_embed([p[::-1] if isinstance(p, tuple) else p for p in points])
     base = emb.base or 1
     return [k // base for k in emb.image], lambda value: emb.decode(value * base)[::-1]
+
+
+def _normalised(keys):
+    """(k - min) // gcd of every key: an increasing affine bijection, so a
+    pair's image is a function of its value, and a dilation is undone."""
+    low = min(keys)
+    step = gcd(*(k - low for k in keys)) or 1
+    return [(k - low) // step for k in keys]
 
 
 def _identity(value):
@@ -211,7 +220,8 @@ def _residue_counts(desc, mode, order):
     A pair's key is a function of its value: the residue mod p =
     RESIDUE_PRIME, (r_a + r_b) mod p for a sum, and for a difference
     min(d, p - d) with d = (r_a - r_b) mod p, which does not depend on
-    which key is larger (r is a key's residue). So a repeated value has a
+    which key is larger (r is a key's residue, of its ``_normalised``
+    image; values are built from ``desc``). So a repeated value has a
     repeated key, and no value spans two key ranges. With the keys sorted
     by residue, row t pairs key t with the keys u >= t (u > t for
     differences), and its pair keys form two sorted runs: for sums, those
@@ -233,10 +243,12 @@ def _residue_counts(desc, mode, order):
     # the most pairs a range of several keys holds; 2^16 was slower on
     # Wcirc(5,45) and 2^18 peaked higher on both scale sets
     cap = 1 << 17
-    res = np.array([k % p for k in desc], dtype=np.int64)
+    norm = _normalised(desc)
+    res = np.array([k % p for k in norm], dtype=np.int64)
     sigma = np.argsort(res, kind="stable")  # row t is key desc[sigma[t]]
     s = res[sigma]
-    s2 = np.array([desc[i] % SECOND_PRIME for i in sigma.tolist()], dtype=np.int64)
+    s2 = np.array([k % SECOND_PRIME for k in norm], dtype=np.int64)[sigma]
+    del norm  # a copy of the keys, freed before the ranges are built
     floor = np.arange(n) + diff  # row t pairs with the rows u >= floor[t]
 
     def bounds(x, rows=slice(None)):
@@ -846,7 +858,10 @@ def subset_doubling_audit(
     beside per-element tables of O(n * 2^(n/2)) ints. ``sample`` draws
     ``trials`` subsets of uniform size in [min_size, max_size] from a
     seeded generator and counts each one's sums and positive differences
-    from its sorted int keys, so memory stays O(|A'|^2) per draw.
+    mod AUDIT_PRIME on its keys' ``_normalised`` residues: a pair's residue
+    is a function of its value, so that count bounds the ratio from below,
+    and the draw's int keys are counted exactly only when the bound is
+    below the current minimum. Memory stays O(|A'|^2) per draw.
 
     Ratios are exact Fractions; |A'-A'| includes zero. The argmin is the
     first minimum in examination order: in mask order (bit i for element
@@ -875,20 +890,25 @@ def subset_doubling_audit(
             raise ParameterError("max_size below min_size")
         if trials < 1:
             raise ParameterError("trials must be >= 1")
-        examined = trials
-        best_sum = best_diff = None
-        argmin_sum = argmin_diff = ()
+        examined, q = trials, AUDIT_PRIME
+        order, desc = _descending(keys)
+        rank = sorted(range(n), key=order.__getitem__)  # each index's row in desc
+        res = [k % q for k in _normalised(desc)]
+        best = [[1, 0, ()], [1, 0, ()]]  # num, den, draw of sums, differences; 1/0 > all
         rng = random.Random(seed)
         for _ in range(trials):
             s = rng.randint(min_size, hi)
             indices = sorted(rng.sample(range(n), s))
-            desc = sorted((keys[i] for i in indices), reverse=True)
-            rs = Fraction(len(set(_pair_values(desc, "sum"))), s * s)
-            rd = Fraction(1 + 2 * len(set(_pair_values(desc, "diff"))), s * s)
-            if best_sum is None or rs < best_sum:
-                best_sum, argmin_sum = rs, indices
-            if best_diff is None or rd < best_diff:
-                best_diff, argmin_diff = rd, indices
+            rows = sorted(map(rank.__getitem__, indices))  # the draw in desc order
+            r = [res[t] for t in rows]
+            for entry, kind, extra, factor in zip(best, ("sum", "diff"), (0, 1), (1, 2)):
+                num, den, _ = entry
+                bound = extra + factor * len(set(map(mod, _pair_values(r, kind), repeat(q))))
+                if bound * den < num * s * s:
+                    exact = extra + factor * len(set(_pair_values([desc[t] for t in rows], kind)))
+                    if exact * den < num * s * s:
+                        entry[:] = exact, s * s, indices
+        (best_sum, argmin_sum), (best_diff, argmin_diff) = [(Fraction(a, b), d) for a, b, d in best]
     else:
         raise ParameterError(f"unknown audit mode {mode!r}")
 

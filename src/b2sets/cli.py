@@ -11,11 +11,14 @@ family file, malformed element text, an empty set, or an element file
 that cannot be read included), 3 resource cap exceeded or out of memory,
 4 search timeout, 5 internal failure (a check of the tool's own work
 failed, or an unexpected exception, whose traceback goes to stderr).
+
+``main`` starts numpy with one BLAS thread unless OPENBLAS_NUM_THREADS is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -430,6 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No b2sets path calls BLAS (the residue kernel only sorts, searches,
+    # repeats and sums), but OpenBLAS starts a worker pool when numpy loads,
+    # which about doubles the cost of the import. A caller's setting wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

@@ -3,8 +3,9 @@
 These deliberately avoid the library's counting machinery: plain dict
 tallies over explicit pair loops, literal quadruple scans, and exhaustive
 partition enumeration. Slow but obviously correct. The dict-based
-minimum-union search, the census matchers and the product certificates
-at the end are previous implementations, kept as step-by-step references.
+minimum-union search, the census matchers, the product certificates and
+the sampled audit's exact per-draw count are previous implementations,
+kept as step-by-step references.
 """
 
 import math
@@ -12,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from b2sets.analyze import _family_mode
+from b2sets.analyze import _family_mode, _pair_values, canonical_keys
 from b2sets.construct import SetFamily
 from b2sets.decompose import (
     Decomposition,
@@ -163,6 +164,35 @@ def brute_audit(elements, mode, min_size, trials=0, seed=0, max_size=None):
         "min_diff_ratio": best["diff"][0],
         "argmin_sum": [elements[i] for i in best["sum"][1]],
         "argmin_diff": [elements[i] for i in best["diff"][1]],
+    }
+
+
+def exact_sampled_audit(elements, min_size, max_size, trials, seed):
+    """The sampled audit with an exact count of every draw, as a dict of
+    the AuditResult fields it determines: each draw's int keys are sorted
+    and their sums and positive differences counted in a set, and only a
+    strictly smaller Fraction replaces the minimum."""
+    keys, _ = canonical_keys(elements)
+    n = len(keys)
+    best_sum = best_diff = None
+    argmin_sum = argmin_diff = ()
+    rng = random.Random(seed)
+    for _ in range(trials):
+        s = rng.randint(min_size, min(max_size, n))
+        indices = sorted(rng.sample(range(n), s))
+        desc = sorted((keys[i] for i in indices), reverse=True)
+        rs = Fraction(len(set(_pair_values(desc, "sum"))), s * s)
+        rd = Fraction(1 + 2 * len(set(_pair_values(desc, "diff"))), s * s)
+        if best_sum is None or rs < best_sum:
+            best_sum, argmin_sum = rs, indices
+        if best_diff is None or rd < best_diff:
+            best_diff, argmin_diff = rd, indices
+    return {
+        "subsets_examined": trials,
+        "min_sum_ratio": best_sum,
+        "min_diff_ratio": best_diff,
+        "argmin_sum": [elements[i] for i in argmin_sum],
+        "argmin_diff": [elements[i] for i in argmin_diff],
     }
 
 

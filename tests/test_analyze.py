@@ -45,6 +45,7 @@ from oracles import (
     brute_is_b2,
     brute_is_b2_circ,
     diff_counts_ordered,
+    exact_sampled_audit,
     diffset,
     is_prime,
     sum_counts_unordered,
@@ -422,22 +423,47 @@ class TestCountingPaths:
         assert [check(elements, 2) for check in (is_b2, is_b2_circ)] == verdicts
 
     @pytest.mark.parametrize("mode", ["sum", "diff"])
-    def test_a_residue_shared_by_every_pair_is_counted_exactly(self, mode):
-        # Keys dilated by RESIDUE_PRIME have residue 0, so every pair has
-        # key 0: one range of a single key, over the cap of 2^17 pairs,
-        # sorted and filtered whole. Dilation keeps every count and pair.
-        elements = _seeded_ints(600, seed=9)
-        keys = _dilated(elements, RESIDUE_PRIME)
-        assert analyze._pair_total(600, mode) > 2**17
+    def test_near_dilated_keys_are_counted_exactly(self, mode):
+        # Keys P*x + (x mod 3) keep three residues after the kernel's
+        # (k - min) // gcd, so their 499,500 or 500,500 pairs share five or
+        # three keys, some over the cap of 2^17 pairs: single-key ranges,
+        # sorted and filtered whole. A pure dilation by P is undone, and
+        # its values are still built from the dilated keys.
+        elements = _seeded_ints(1000, seed=9)
+        keys = [RESIDUE_PRIME * x + x % 3 for x in elements]
         order, desc = analyze._descending(keys)
         counts, distinct, groups = analyze._residue_counts(desc, mode, order)
         full = Counter(analyze._pair_values(desc, mode))
         assert counts == {v: c for v, c in full.items() if c >= 2}
         assert distinct == len(full)
+        assert list(groups.items()) == list(
+            analyze._pair_groups(order, desc, mode, set(counts)).items()
+        )
+        order, desc = analyze._descending(_dilated(elements, RESIDUE_PRIME))
+        groups = analyze._residue_counts(desc, mode, order)[2]
         dense = rep_profile(elements, mode)
         assert list(groups.items()) == [
             (RESIDUE_PRIME * v, pairs) for v, pairs in dense.repeated.items()
         ]
+
+    @pytest.mark.parametrize("mode", ["sum", "diff"])
+    def test_dilated_keys_work_in_fixed_memory(self, mode):
+        # 2,000 random 60-bit keys times RESIDUE_PRIME all have residue 0,
+        # but the kernel reduces (k - min) // gcd, whose residues spread as
+        # the undilated keys' do. Unreduced, one range held all 2M pairs:
+        # about 140 MB of numpy arrays, which report to tracemalloc.
+        import numpy  # noqa: F401  (loaded before tracing)
+
+        desc = sorted(_dilated(_random_keys(2000, seed=6, bits=60), RESIDUE_PRIME), reverse=True)
+        total = analyze._pair_total(len(desc), mode)
+        tracemalloc.start()
+        try:
+            counts, distinct, _ = analyze._count_values(desc, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (counts, distinct) == ({}, total)
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("mode", ["sum", "diff"])
     def test_several_crowded_keys_are_counted_exactly(self, mode):
@@ -1289,6 +1315,53 @@ class TestAudit:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("k, n", [(3, 5), (5, 19)], ids=["product35", "product519"])
+    def test_sampled_audit_matches_exact_draws(self, k, n, seed):
+        # a draw is counted exactly only when its residue bound is below
+        # the minimum: no draw that sets a minimum may be skipped
+        elements = build_product(k, n).union_values()
+        params = dict(min_size=4, max_size=48, trials=2000, seed=seed)
+        expected = exact_sampled_audit(elements, **params)
+        assert subset_doubling_audit(elements, "sample", **params) == AuditResult(
+            mode="sample", n_elements=len(elements), **expected
+        )
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            random.Random(1).sample(range(-10**6, 10**6), 40),
+            random.Random(2).sample(range(50), 40),
+            _random_keys(30, seed=3, bits=200),
+            _dilated(random.Random(4).sample(range(-500, 500), 40), analyze.AUDIT_PRIME),
+        ],
+        ids=["sparse", "dense-ties", "wide", "dilated"],
+    )
+    def test_sampled_audit_on_ints_matches_exact_draws(self, elements):
+        params = dict(min_size=3, max_size=25, trials=400, seed=7)
+        expected = exact_sampled_audit(elements, **params)
+        assert subset_doubling_audit(elements, "sample", **params) == AuditResult(
+            mode="sample", n_elements=len(elements), **expected
+        )
+
+    def test_near_dilated_keys_are_recounted_in_every_draw(self, monkeypatch):
+        # Keys Q*x + (x mod 2) keep residues 0, 1 and Q - 1 under (k - min)
+        # // gcd, so each residue bound is far below the minimum and every
+        # draw's keys, all at least Q, are counted exactly.
+        q = analyze.AUDIT_PRIME
+        keys = [q * x + x % 2 for x in random.Random(5).sample(range(1, 10**4), 40)]
+        params = dict(min_size=4, max_size=20, trials=200, seed=3)
+        exact, pair_values = [], analyze._pair_values
+
+        def recording(desc, mode):
+            exact.append(min(desc) >= q)
+            return pair_values(desc, mode)
+
+        monkeypatch.setattr(analyze, "_pair_values", recording)
+        res = subset_doubling_audit(keys, "sample", **params)
+        assert exact.count(True) == 2 * params["trials"]
+        assert res == AuditResult("sample", len(keys), **exact_sampled_audit(keys, **params))
 
     def test_exhaustive_at_the_limit(self):
         vals = build_w(3, 30).union_values()[: analyze.EXHAUSTIVE_AUDIT_LIMIT]

@@ -1,7 +1,13 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import b2sets
 from b2sets.cli import main
 
 
@@ -291,3 +297,50 @@ class TestReproducibility:
         main(argv + ["--out", str(a)])
         main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestStartup:
+    """The CLI owns its process, so it starts numpy with one BLAS thread;
+    the library leaves a caller's environment alone."""
+
+    # 700 ints spread over 10^12: 245,350 sum pairs, so is_b2 takes the
+    # residue path, which loads numpy
+    VALUES = ",".join(map(str, random.Random(23).sample(range(10**12), 700)))
+    REPORT = (
+        "import os, sys\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0\n"
+        "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n"
+    )
+
+    def child(self, code, **env):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
+        env["PYTHONPATH"] = str(Path(b2sets.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split("\n")[-2].split()
+
+    def run_cli(self, **env):
+        argv = ["analyze", "--values", self.VALUES, "--check", "b2", "--out", os.devnull]
+        code = f"from b2sets.cli import main\nmain({argv!r})\n" + self.REPORT
+        return self.child(code, **env)
+
+    def test_numpy_starts_with_one_thread(self):
+        loaded, threads, tasks = self.run_cli()
+        assert (loaded, threads) == ("True", "1")
+        if tasks != "0":  # 0: no /proc/self/task to count
+            assert tasks == "1"
+
+    def test_a_callers_setting_wins(self):
+        loaded, threads, _ = self.run_cli(OPENBLAS_NUM_THREADS="2")
+        assert (loaded, threads) == ("True", "2")
+
+    def test_importing_the_cli_leaves_the_environment_alone(self):
+        code = (
+            "import os\n"
+            "before = dict(os.environ)\n"
+            "import b2sets.cli\n"
+            "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+        )
+        assert self.child(code) == ["True", "False"]
