@@ -2,17 +2,17 @@
 checks, additive energy, sumset disjointness, collision censuses, and
 subset doubling audits.
 
-Everything here is exact counting on plain Python ints. Integers and
-DigitVectors are compared by their integer values. Planar points (the
-product family) go through one order-preserving map into the integers,
-``f2_embed`` of the reversed coordinates divided by its base: the first
-coordinate is the most significant and the base exceeds four times the
-largest coordinate magnitude. The map preserves every sum and difference
-relation in both directions, int order is the lexicographic order of the
-points, and the sign of an int is the sign of its point's first nonzero
-coordinate. Values handed back to callers are decoded to points.
-``construct``, which holds ``f2_embed``, is loaded for planar input only,
-so a caller with ints never loads it.
+Everything here is exact counting on plain Python ints, in the one key
+space ``_int_keys`` builds: the integer values of ints and DigitVectors,
+or the ``f2_embed`` images of planar points with the first coordinate
+most significant, mapped to (k - min) // g, g the gcd of their
+differences (unless g < 2). The map is increasing and affine, so it
+keeps every sum and difference relation, the order (lexicographic for
+points) and the sign of every difference, and a dilated set gets the
+keys of the set itself up to a translation, so its path and its cost.
+No engine normalises keys again; values handed back are decoded to the
+element space. ``construct``, which holds ``f2_embed``, is loaded for
+planar input only, so a caller with ints never loads it.
 
 All pair enumeration runs through one kernel over the keys sorted in
 descending order. Up to FULL_MAP_PAIR_LIMIT pairs, a full value->count
@@ -33,8 +33,8 @@ DENSE_SPAN_FACTOR times their number: one big-int product of the keys'
 indicator polynomial holds every count in the same conventions, and no
 pair value is hashed. The energies skip it on a full grid too, planar
 points that are every combination of their coordinates: each count is
-the product of the axes' counts, and only each axis, a set of ints,
-takes the dense product or the kernel.
+the product of the axes' counts, and only each axis, whose ints are
+keyed by ``_int_keys`` too, takes the dense product or the kernel.
 
 Conventions, pinned once in the kernel:
 
@@ -97,9 +97,9 @@ def canonical_key(x):
 
 
 def canonical_keys(elements):
-    """Distinct elements as int keys, and the decoder that turns a key, or
-    a sum or difference of two keys, back into an element-space value. An
-    empty set is a ParameterError: no check has anything to verify."""
+    """Distinct elements as int keys, and the decoder that turns a sum or
+    difference of two keys back into an element-space value. An empty set
+    is a ParameterError: no check has anything to verify."""
     return _int_keys(_canonical_points(elements))
 
 
@@ -119,43 +119,32 @@ def _canonical_points(elements):
 
 
 def _int_keys(points):
-    """Int keys for distinct canonical points, and their decoder.
-
-    Planar points go through ``f2_embed`` of the reversed coordinates, so
-    the first coordinate is the most significant and the base, five times
-    the largest coordinate magnitude, exceeds four times it: key order is
-    the lexicographic order of the points, and a key difference has the
-    sign of the first nonzero coordinate difference. Every image is a
-    multiple of the base, so the keys are the images divided by it (by 1
-    for a lone origin, whose base is 0): a dilation, which keeps every
-    relation and the order, and the decoder multiplies back.
+    """Int keys for distinct canonical points, and their decoder: the one
+    place where keys are built. Planar points go through ``f2_embed`` of
+    the reversed coordinates, whose base, five times the largest
+    coordinate magnitude, makes int order the lexicographic order of the
+    points. The ints k become (k - min) // g, g the gcd of their
+    differences (a planar image is a multiple of its base, so g is too),
+    or stay as they are, uncopied, when g < 2. ``decode(value, mode)``
+    turns a sum or a difference of two keys back into an element-space
+    value: times g, plus 2 * min for a sum.
     """
-    if not any(isinstance(p, tuple) for p in points):
-        return points, _identity
-    from .construct import f2_embed
+    planar = any(isinstance(p, tuple) for p in points)
+    if planar:
+        from .construct import f2_embed
 
-    emb = f2_embed([p[::-1] if isinstance(p, tuple) else p for p in points])
-    base = emb.base or 1
-    return [k // base for k in emb.image], lambda value: emb.decode(value * base)[::-1]
+        emb = f2_embed([p[::-1] if isinstance(p, tuple) else p for p in points])
+        points = list(emb.image)
+    step, low = gcd(*map(sub, points, points[1:])) or 1, 0
+    if step > 1:
+        low = min(points)
+        points = [(k - low) // step for k in points]
 
+    def decode(value, mode):
+        value = value * step + (2 * low if mode == "sum" else 0)
+        return emb.decode(value)[::-1] if planar else value
 
-def _normalised(keys):
-    """(k - min) // gcd of every key: an increasing affine bijection, so a
-    pair's image is a function of its value, and a dilation is undone."""
-    low = min(keys)
-    step = gcd(*(k - low for k in keys)) or 1
-    return [(k - low) // step for k in keys]
-
-
-def _identity(value):
-    return value
-
-
-def _decoded(mapping, decode):
-    # int keys are their own values, so only planar maps are rebuilt
-    if decode is _identity:
-        return mapping
-    return {decode(v): x for v, x in mapping.items()}
+    return points, decode
 
 
 # -- the pair kernel ---------------------------------------------------------
@@ -220,11 +209,11 @@ def _residue_counts(desc, mode, order):
     A pair's key is a function of its value: the residue mod p =
     RESIDUE_PRIME, (r_a + r_b) mod p for a sum, and for a difference
     min(d, p - d) with d = (r_a - r_b) mod p, which does not depend on
-    which key is larger (r is a key's residue, of its ``_normalised``
-    image; values are built from ``desc``). So a repeated value has a
-    repeated key, and no value spans two key ranges. With the keys sorted
-    by residue, row t pairs key t with the keys u >= t (u > t for
-    differences), and its pair keys form two sorted runs: for sums, those
+    which key is larger (r is a key's residue; values are built from
+    ``desc``). So a repeated value has a repeated key, and no value spans
+    two key ranges. With the keys sorted by residue, row t pairs key t
+    with the keys u >= t (u > t for differences), and its pair keys form
+    two sorted runs: for sums, those
     below p and those that wrap once; for differences, d up to p/2 and the
     rest, whose keys fall. So one searchsorted per run bound gives every
     row's slice, and the exact pair count, of any key range. The ranges
@@ -243,12 +232,10 @@ def _residue_counts(desc, mode, order):
     # the most pairs a range of several keys holds; 2^16 was slower on
     # Wcirc(5,45) and 2^18 peaked higher on both scale sets
     cap = 1 << 17
-    norm = _normalised(desc)
-    res = np.array([k % p for k in norm], dtype=np.int64)
+    res = np.array([k % p for k in desc], dtype=np.int64)
     sigma = np.argsort(res, kind="stable")  # row t is key desc[sigma[t]]
     s = res[sigma]
-    s2 = np.array([k % SECOND_PRIME for k in norm], dtype=np.int64)[sigma]
-    del norm  # a copy of the keys, freed before the ranges are built
+    s2 = np.array([k % SECOND_PRIME for k in desc], dtype=np.int64)[sigma]
     floor = np.arange(n) + diff  # row t pairs with the rows u >= floor[t]
 
     def bounds(x, rows=slice(None)):
@@ -460,8 +447,10 @@ def rep_profile(elements, mode: str) -> RepProfile:
     total = _pair_total(n, mode)
     distinct, groups = _repeated_pairs(keys, mode)
     max_count = max(map(len, groups.values()), default=min(total, 1))
-    best = sorted(v for v, pairs in groups.items() if len(pairs) == max_count)
-    witnesses = [_witness(items, keys, decode, mode, v, max_count) for v in best[:WITNESS_CAP]]
+    witnesses = [
+        Witness(decode(v, mode), max_count, tuple((items[i], items[j]) for i, j in sorted(groups[v])))
+        for v in sorted(v for v, pairs in groups.items() if len(pairs) == max_count)[:WITNESS_CAP]
+    ]
     return RepProfile(
         mode=mode,
         n_elements=n,
@@ -469,7 +458,7 @@ def rep_profile(elements, mode: str) -> RepProfile:
         distinct_values=distinct,
         max_count=max_count,
         witnesses=witnesses,
-        repeated=_decoded(groups, decode),
+        repeated={decode(v, mode): pairs for v, pairs in groups.items()},
     )
 
 
@@ -523,7 +512,7 @@ def _witness(items, keys, decode, mode, value, count):
     index = {k: i for i, k in enumerate(keys)}
     partners = (index.get(value - k if mode == "sum" else k - value) for k in keys)
     pairs = [(i, j) for i, j in enumerate(partners) if j is not None and (mode == "diff" or i <= j)]
-    return Witness(decode(value), count, tuple((items[i], items[j]) for i, j in pairs))
+    return Witness(decode(value, mode), count, tuple((items[i], items[j]) for i, j in pairs))
 
 
 # -- additive energy ---------------------------------------------------------
@@ -555,7 +544,8 @@ def additive_energy(elements) -> EnergyReport:
     never enumerated and ENERGY_PAIR_BUDGET bounds the largest axis."""
     points = _canonical_points(elements)
     n = len(points)
-    factors = _grid_axes(points) or [_int_keys(points)[0]]  # rejects mixed dimensions
+    axes = _grid_axes(points) or [points]  # _int_keys rejects mixed dimensions
+    factors = [_int_keys(axis)[0] for axis in axes]
     largest = max(map(len, factors))
     if largest * largest > ENERGY_PAIR_BUDGET:
         raise ResourceCap(f"{largest}^2 pairs exceed the budget {ENERGY_PAIR_BUDGET}")
@@ -588,7 +578,7 @@ def _grid_axes(points):
     points are every combination of them, else None."""
     if not all(isinstance(p, tuple) for p in points) or len(set(map(len, points))) != 1:
         return None
-    axes = [set(c) for c in zip(*points)]
+    axes = [list(set(c)) for c in zip(*points)]
     return axes if prod(map(len, axes)) == len(points) else None
 
 
@@ -665,7 +655,7 @@ def family_sumset_disjointness(family: SetFamily) -> DisjointnessReport:
             {(min(p, q), max(p, q)) for i, j in groups[value] for p in owners[i] for q in owners[j]}
         )
         if len(pairs) > 1:
-            return DisjointnessReport(False, pair_count, decode(value), tuple(pairs[:2]))
+            return DisjointnessReport(False, pair_count, decode(value, "sum"), tuple(pairs[:2]))
     return DisjointnessReport(True, pair_count, None, None)
 
 
@@ -728,7 +718,7 @@ def collision_census(family: SetFamily, mode: str) -> CensusReport:
         else:
             anomalies += 1
         records.append(
-            CollisionRecord(decode(value), reps, part_pair, classification, pattern)
+            CollisionRecord(decode(value, mode), reps, part_pair, classification, pattern)
         )
     return CensusReport(
         mode=mode,
@@ -858,10 +848,10 @@ def subset_doubling_audit(
     beside per-element tables of O(n * 2^(n/2)) ints. ``sample`` draws
     ``trials`` subsets of uniform size in [min_size, max_size] from a
     seeded generator and counts each one's sums and positive differences
-    mod AUDIT_PRIME on its keys' ``_normalised`` residues: a pair's residue
-    is a function of its value, so that count bounds the ratio from below,
-    and the draw's int keys are counted exactly only when the bound is
-    below the current minimum. Memory stays O(|A'|^2) per draw.
+    mod AUDIT_PRIME on its keys' residues: a pair's residue is a function
+    of its value, so that count bounds the ratio from below, and the
+    draw's keys are counted exactly only when the bound is below the
+    current minimum. Memory stays O(|A'|^2) per draw.
 
     Ratios are exact Fractions; |A'-A'| includes zero. The argmin is the
     first minimum in examination order: in mask order (bit i for element
@@ -893,7 +883,7 @@ def subset_doubling_audit(
         examined, q = trials, AUDIT_PRIME
         order, desc = _descending(keys)
         rank = sorted(range(n), key=order.__getitem__)  # each index's row in desc
-        res = [k % q for k in _normalised(desc)]
+        res = [k % q for k in desc]
         best = [[1, 0, ()], [1, 0, ()]]  # num, den, draw of sums, differences; 1/0 > all
         rng = random.Random(seed)
         for _ in range(trials):

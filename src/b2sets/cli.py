@@ -270,7 +270,7 @@ def cmd_certify(args) -> int:
     if args.delta_prime is None and args.parts is None:
         raise ParameterError("--parts is required")
     if args.delta_prime is not None:
-        cert = no_large_bsubset_certificate(family, args.g, Fraction(args.delta_prime))
+        cert = no_large_bsubset_certificate(family, args.g, args.delta_prime)
         results = _fields(
             cert, "delta_prime", "gamma", "threshold", "sum_branch", "diff_branch",
             certificate="no-large-subset",

@@ -384,7 +384,10 @@ def no_large_bsubset_certificate(
     family: SetFamily, g: int, delta_prime
 ) -> NoLargeSubsetCertificate:
     left, right = _product_factors(family)
-    delta_prime = Fraction(delta_prime)
+    try:
+        delta_prime = Fraction(delta_prime)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"delta_prime {delta_prime!r} is not a number") from None
     if not 0 < delta_prime <= 1:
         raise ParameterError("delta_prime must lie in (0, 1]")
     if g < 1:

@@ -126,26 +126,31 @@ class TestPlanarKeys:
         keys, decode = canonical_keys(pts)
         assert sorted(pts) == [p for _, p in sorted(zip(keys, pts))]
         for (a, ka), (b, kb) in zip(zip(pts, keys), zip(pts[1:], keys[1:])):
-            assert decode(ka + kb) == (a[0] + b[0], a[1] + b[1])
+            assert decode(ka + kb, "sum") == (a[0] + b[0], a[1] + b[1])
             d = (a[0] - b[0], a[1] - b[1])
-            assert decode(ka - kb) == d
+            assert decode(ka - kb, "diff") == d
             assert (ka > kb) == (d > (0, 0))
 
-    def test_product_keys_are_the_images_divided_by_the_base(self):
-        # Every f2_embed image is a multiple of its base, so dividing by it
-        # is a dilation: product(5,19)'s keys shrink from 874 to 553 bits,
-        # and each key, sum and difference still decodes to its point.
+    def test_product_keys_are_the_normalised_images(self):
+        # Every f2_embed image is a multiple of its base, so the gcd of the
+        # image differences is one too, and (image - min) // gcd keeps
+        # every relation: product(5,19)'s keys shrink from 874 to 485 bits,
+        # and each sum and difference still decodes to its point.
         points = [tuple(map(int, p)) for p in build_product(5, 19).union_values()]
         keys, decode = canonical_keys(points)
         emb = f2_embed([p[::-1] for p in points])
+        low = min(emb.image)
+        step = math.gcd(*(k - low for k in emb.image))
+        assert step % emb.base == 0
         assert max(k.bit_length() for k in emb.image) == 874
-        assert keys == [k // emb.base for k in emb.image]
-        assert max(k.bit_length() for k in keys) == 553
-        assert [decode(k) for k in keys] == points
+        assert keys == [(k - low) // step for k in emb.image]
+        assert max(k.bit_length() for k in keys) == 485
+        assert [decode(k + k, "sum") for k in keys] == [(2 * x, 2 * y) for x, y in points]
         for (a, ka), (b, kb) in zip(zip(points, keys), zip(points[7:], keys[7:])):
-            assert decode(ka + kb) == (a[0] + b[0], a[1] + b[1])
-            assert decode(ka - kb) == (a[0] - b[0], a[1] - b[1])
+            assert decode(ka + kb, "sum") == (a[0] + b[0], a[1] + b[1])
+            assert decode(ka - kb, "diff") == (a[0] - b[0], a[1] - b[1])
         assert canonical_keys([(0, 0)])[0] == [0]
+        assert canonical_keys([(3, 4)])[1](0, "diff") == (0, 0)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ParameterError):
@@ -184,6 +189,15 @@ def _dilated(elements, factor):
     """The elements times ``factor``: a Freiman isomorphism of every order,
     so every count is kept while the span grows by the factor."""
     return [tuple(factor * c for c in x) if isinstance(x, tuple) else factor * x for x in elements]
+
+
+def _with_outlier(elements):
+    """The elements with the last one moved far out along the first axis:
+    nearly every pair value still repeats, but the span is far past the
+    dense gate, and no gcd of the differences undoes it."""
+    last = elements[-1]
+    far = (10**6, *last[1:]) if isinstance(last, tuple) else 10**6
+    return elements[:-1] + [far]
 
 
 def _random_keys(n, seed, bits=100):
@@ -286,9 +300,11 @@ class TestCountingPaths:
 
     @pytest.mark.parametrize("make", [_seeded_ints, _seeded_points])
     def test_energy_paths_agree(self, make, monkeypatch):
-        # Dilated by 25, the seeded ints span 100|A|, past the dense gate,
-        # so the residue path and the full value map are compared.
-        elements = _dilated(make(self.N, seed=23), 25)
+        # With one element moved far out, the seeded ints span over 1500|A|,
+        # past the dense gate, so the residue path and the full value map
+        # are compared; a dilation would not get past it, since _int_keys
+        # divides it out.
+        elements = _with_outlier(make(self.N, seed=23))
         assert not _dense(elements)
         surrogate = additive_energy(elements)
         monkeypatch.setattr(analyze, "FULL_MAP_PAIR_LIMIT", self.N * self.N)
@@ -424,13 +440,13 @@ class TestCountingPaths:
 
     @pytest.mark.parametrize("mode", ["sum", "diff"])
     def test_near_dilated_keys_are_counted_exactly(self, mode):
-        # Keys P*x + (x mod 3) keep three residues after the kernel's
-        # (k - min) // gcd, so their 499,500 or 500,500 pairs share five or
+        # Keys P*x + (x mod 3) have gcd 1, so _int_keys keeps them, with
+        # three residues: their 499,500 or 500,500 pairs share five or
         # three keys, some over the cap of 2^17 pairs: single-key ranges,
-        # sorted and filtered whole. A pure dilation by P is undone, and
-        # its values are still built from the dilated keys.
+        # sorted and filtered whole. A pure dilation by P is undone by
+        # _int_keys, and its values decode to the dilated ones.
         elements = _seeded_ints(1000, seed=9)
-        keys = [RESIDUE_PRIME * x + x % 3 for x in elements]
+        keys, _ = canonical_keys([RESIDUE_PRIME * x + x % 3 for x in elements])
         order, desc = analyze._descending(keys)
         counts, distinct, groups = analyze._residue_counts(desc, mode, order)
         full = Counter(analyze._pair_values(desc, mode))
@@ -439,22 +455,24 @@ class TestCountingPaths:
         assert list(groups.items()) == list(
             analyze._pair_groups(order, desc, mode, set(counts)).items()
         )
-        order, desc = analyze._descending(_dilated(elements, RESIDUE_PRIME))
+        keys, decode = canonical_keys(_dilated(elements, RESIDUE_PRIME))
+        order, desc = analyze._descending(keys)
         groups = analyze._residue_counts(desc, mode, order)[2]
         dense = rep_profile(elements, mode)
-        assert list(groups.items()) == [
+        assert [(decode(v, mode), pairs) for v, pairs in groups.items()] == [
             (RESIDUE_PRIME * v, pairs) for v, pairs in dense.repeated.items()
         ]
 
     @pytest.mark.parametrize("mode", ["sum", "diff"])
     def test_dilated_keys_work_in_fixed_memory(self, mode):
         # 2,000 random 60-bit keys times RESIDUE_PRIME all have residue 0,
-        # but the kernel reduces (k - min) // gcd, whose residues spread as
-        # the undilated keys' do. Unreduced, one range held all 2M pairs:
-        # about 140 MB of numpy arrays, which report to tracemalloc.
+        # but _int_keys reduces them to (k - min) // gcd, whose residues
+        # spread as the undilated keys' do. Unreduced, one range held all
+        # 2M pairs: about 140 MB of numpy arrays, which report to tracemalloc.
         import numpy  # noqa: F401  (loaded before tracing)
 
-        desc = sorted(_dilated(_random_keys(2000, seed=6, bits=60), RESIDUE_PRIME), reverse=True)
+        keys, _ = canonical_keys(_dilated(_random_keys(2000, seed=6, bits=60), RESIDUE_PRIME))
+        desc = sorted(keys, reverse=True)
         total = analyze._pair_total(len(desc), mode)
         tracemalloc.start()
         try:
@@ -716,8 +734,8 @@ class TestIsB2:
     def test_verdicts_list_no_pair_positions(self, limit, monkeypatch):
         # A set that repeats nearly every pair value, so listing their
         # positions costs as much as counting them; the verdict only counts.
-        # Dilated by 25, it spans up to 58|A|, past the dense gate.
-        elements = _dilated(random.Random(13).sample(range(700), 300), 25)
+        # One element moved far out takes its span past the dense gate.
+        elements = _with_outlier(random.Random(13).sample(range(700), 300))
         assert not _dense(elements)
         expected = self._expected_verdicts(elements)
 
@@ -740,8 +758,9 @@ class TestIsB2:
         assert orders == ([] if limit == "default" else [None] * len(expected))
 
     def test_dense_verdicts_count_no_pair_values(self, monkeypatch):
-        # Undilated, the same set spans at most 2.4|A|: the verdicts come
-        # from one big-int product each, and no pair value is hashed.
+        # Without the outlier, the same set spans at most 2.4|A|: the
+        # verdicts come from one big-int product each, and no pair value is
+        # hashed.
         elements = random.Random(13).sample(range(700), 300)
         assert _dense(elements, "sum") and _dense(elements, "diff")
         expected = self._expected_verdicts(elements)
@@ -1346,16 +1365,21 @@ class TestAudit:
         )
 
     def test_near_dilated_keys_are_recounted_in_every_draw(self, monkeypatch):
-        # Keys Q*x + (x mod 2) keep residues 0, 1 and Q - 1 under (k - min)
-        # // gcd, so each residue bound is far below the minimum and every
-        # draw's keys, all at least Q, are counted exactly.
+        # Keys Q*x + (x mod 2) are all even, and (k - min) // 2 leaves them
+        # two residues, 0 and (Q + 1) / 2 here, so each residue bound is far
+        # below the minimum and every draw's keys are counted exactly. A
+        # residue is below Q, and every draw holds a key above it: at most
+        # two of the 40 keys are below Q.
         q = analyze.AUDIT_PRIME
         keys = [q * x + x % 2 for x in random.Random(5).sample(range(1, 10**4), 40)]
+        normalised, _ = canonical_keys(keys)
+        assert {k % q for k in normalised} == {0, (q + 1) // 2}
+        assert sum(k < q for k in normalised) <= 2
         params = dict(min_size=4, max_size=20, trials=200, seed=3)
         exact, pair_values = [], analyze._pair_values
 
         def recording(desc, mode):
-            exact.append(min(desc) >= q)
+            exact.append(max(desc) >= q)
             return pair_values(desc, mode)
 
         monkeypatch.setattr(analyze, "_pair_values", recording)

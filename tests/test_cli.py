@@ -196,6 +196,17 @@ def test_empty_set_is_a_config_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta_prime", ["abc", "1/0", ""], ids=["text", "zero-denominator", "empty"])
+def test_malformed_delta_prime_is_a_config_error(delta_prime, tmp_path, capsys):
+    path = tmp_path / "p35.json"
+    assert main(["build", "--kind", "product", "--k", "3", "--n", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["certify", str(path), "--g", "1", "--delta-prime", delta_prime]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert "Traceback" not in err
+
+
 class TestCertifyDecompose:
     def test_certificate_pass(self, tmp_path):
         out = tmp_path / "w40.json"

@@ -148,8 +148,11 @@ class TestProduct:
         values = p.union_values()
         keys, decode = canonical_keys(values)
         a, b = values[0], values[1]
-        assert decode(keys[0] + keys[1]) == tuple(
+        assert decode(keys[0] + keys[1], "sum") == tuple(
             x.to_integer() + y.to_integer() for x, y in zip(a, b)
+        )
+        assert decode(keys[0] - keys[1], "diff") == tuple(
+            x.to_integer() - y.to_integer() for x, y in zip(a, b)
         )
 
     def test_cap(self):
