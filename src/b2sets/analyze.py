@@ -18,10 +18,10 @@ All pair enumeration runs through one kernel over the keys sorted in
 descending order. Up to FULL_MAP_PAIR_LIMIT pairs, a full value->count
 map is built. Above it, each pair value is reduced to a residue mod the
 prime 2^31 - 19, computed from the keys' residues with numpy, one range
-of residues at a time: a range holds at most 2^17 pairs unless it is a
-single residue, so the arrays grow with the pair count only where more
-pairs than that share one residue. The residue is a function of
-the value, so every repeated value has a repeated residue; only the
+of residues at a time: ranges are halved until each holds at most 2^17
+pairs or a single residue, so the arrays grow with the pair count only
+where more pairs than that share one residue. The residue is a function
+of the value, so every repeated value has a repeated residue; only the
 pairs whose residue repeats in its range and whose residue mod a second
 prime, 2^31 - 61, repeats too are counted exactly as Python ints: those
 of repeated values and about N^2/(pq) of N others. Reported counts are
@@ -59,7 +59,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, compress, repeat, starmap
 from math import gcd, prod
-from operator import add, mod, mul, sub
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .digitnum import as_int
@@ -81,7 +81,6 @@ RESIDUE_PRIME = 2147483629
 # RESIDUE_PRIME is counted as an int only if its residue mod this prime
 # repeats too among the pairs of its range
 SECOND_PRIME = 2147483587
-AUDIT_PRIME = 1073741789  # 2^30 - 35: a residue is one 30-bit digit of an int
 WITNESS_CAP = 10
 EXHAUSTIVE_AUDIT_LIMIT = 20
 
@@ -216,10 +215,10 @@ def _residue_counts(desc, mode, order):
     two sorted runs: for sums, those
     below p and those that wrap once; for differences, d up to p/2 and the
     rest, whose keys fall. So one searchsorted per run bound gives every
-    row's slice, and the exact pair count, of any key range. The ranges
-    are cut from the pair counts below evenly spaced keys to hold at most
-    ``cap`` = 2^17 pairs each, unless a range is a single key. A range's keys are
-    gathered, sorted and scanned for repeats, and the pairs whose key
+    row's slice, and the exact pair count, of any key range. A range of
+    more than ``cap`` = 2^17 pairs and more than one key is halved at its
+    middle key, whose pair count below is one such search. A range's keys
+    are gathered, sorted and scanned for repeats, and the pairs whose key
     repeats and whose residue mod SECOND_PRIME also repeats are counted
     exactly as Python ints; the others occur once. Memory is O(n + cap +
     the pairs of the largest single key + the pairs counted as ints), and
@@ -238,38 +237,24 @@ def _residue_counts(desc, mode, order):
     s2 = np.array([k % SECOND_PRIME for k in desc], dtype=np.int64)[sigma]
     floor = np.arange(n) + diff  # row t pairs with the rows u >= floor[t]
 
-    def bounds(x, rows=slice(None)):
+    def bounds(x):
         """Per row, where each run crosses key x: run 1 has its keys below
-        x before it, run 2 before it for sums and after it for differences.
-        x is a key or a column of keys."""
-        st, fl = s[rows], floor[rows]
-        one, two = (st + x, st + (p + 1) - x) if diff else (x - st, p + x - st)
-        return np.maximum(np.searchsorted(s, one), fl), np.maximum(np.searchsorted(s, two), fl)
+        x before it, run 2 before it for sums and after it for differences."""
+        ends = (s + x, s + (p + 1) - x) if diff else (x - s, p + x - s)
+        return [np.maximum(np.searchsorted(s, e), floor) for e in ends]
 
-    def ranges(lo, hi, pairs):
+    def ranges(lo, hi, pairs, below):
         """(end, pair count) of consecutive key ranges covering [lo, hi),
-        each of at most cap pairs unless it is a single key."""
+        which holds ``pairs`` pairs and has ``below`` pairs below it; each
+        range holds at most cap pairs unless it is a single key."""
         if pairs <= cap or hi - lo == 1:
             yield hi, pairs
             return
-        k = min(hi - lo, 2 * pairs // cap + 1)
-        edges = [lo + (hi - lo) * i // k for i in range(k + 1)]
-        below = np.zeros(k + 1, dtype=np.int64)  # the pairs with keys below each edge
-        step = max(1, cap // 8 // (k + 1))  # rows per block of counts
-        for a in range(0, n, step):
-            rows = slice(a, a + step)
-            one, two = bounds(np.array(edges)[:, None], rows)
-            below += (one - zero[0][rows]).sum(axis=1) + abs(two - zero[1][rows]).sum(axis=1)
-        below, start = below.tolist(), 0
-        for i in range(1, k + 1):
-            if below[i] - below[start] > cap and i - 1 > start:
-                yield edges[i - 1], below[i - 1] - below[start]
-                start = i - 1
-            if below[i] - below[start] > cap:
-                yield from ranges(edges[start], edges[i], below[i] - below[start])
-                start = i
-        if start < k:
-            yield hi, below[k] - below[start]
+        mid = (lo + hi) // 2
+        one, two = bounds(mid)
+        left = int((one - zero[0]).sum() + abs(two - zero[1]).sum()) - below
+        yield from ranges(lo, mid, left, below)
+        yield from ranges(mid, hi, pairs - left, below + left)
 
     def flagged(starts, lens, m):
         """The range's pairs whose key and residue mod SECOND_PRIME both
@@ -318,7 +303,7 @@ def _residue_counts(desc, mode, order):
     counts, groups, distinct = {}, [], 0
     zero = bounds(0)
     lo1, lo2 = zero
-    for hi, m in ranges(0, (p + 1) // 2 if diff else p, _pair_total(n, mode)):
+    for hi, m in ranges(0, (p + 1) // 2 if diff else p, _pair_total(n, mode), 0):
         hi1, hi2 = bounds(hi)
         starts = np.concatenate((lo1, hi2 if diff else lo2))
         lens = np.concatenate((hi1 - lo1, lo2 - hi2 if diff else hi2 - lo2))
@@ -628,7 +613,8 @@ class DisjointnessReport(NamedTuple):
 def family_sumset_disjointness(family: SetFamily) -> DisjointnessReport:
     """Check that the pairwise part sumsets P_i + P_j are disjoint across
     distinct unordered index pairs {i, j}; the witness is the least value
-    in two of them, with the first two such pairs.
+    in two of them, with the first two such pairs. A family of fewer than
+    two parts has nothing to compare and raises ParameterError.
 
     The candidates are the union's repeated sums, from the pair kernel,
     and one more value. A value with a single representation a + b in the
@@ -636,7 +622,10 @@ def family_sumset_disjointness(family: SetFamily) -> DisjointnessReport:
     least such value is the least shared element plus the least element,
     and it does lie in two part sumsets, so it is the one added.
     """
-    part_points = [[canonical_key(v) for v in values] for values in family.part_values()]
+    part_values = family.part_values()
+    if len(part_values) < 2:
+        raise ParameterError(f"disjointness needs two or more parts, not {len(part_values)}")
+    part_points = [[canonical_key(v) for v in values] for values in part_values]
     holders: dict = {}  # point -> the 1-based parts holding it
     for number, part in enumerate(part_points, 1):
         for p in part:
@@ -848,10 +837,8 @@ def subset_doubling_audit(
     beside per-element tables of O(n * 2^(n/2)) ints. ``sample`` draws
     ``trials`` subsets of uniform size in [min_size, max_size] from a
     seeded generator and counts each one's sums and positive differences
-    mod AUDIT_PRIME on its keys' residues: a pair's residue is a function
-    of its value, so that count bounds the ratio from below, and the
-    draw's keys are counted exactly only when the bound is below the
-    current minimum. Memory stays O(|A'|^2) per draw.
+    once, exactly, on its int keys in descending order. Memory stays
+    O(|A'|^2) per draw.
 
     Ratios are exact Fractions; |A'-A'| includes zero. The argmin is the
     first minimum in examination order: in mask order (bit i for element
@@ -880,24 +867,20 @@ def subset_doubling_audit(
             raise ParameterError("max_size below min_size")
         if trials < 1:
             raise ParameterError("trials must be >= 1")
-        examined, q = trials, AUDIT_PRIME
+        examined = trials
         order, desc = _descending(keys)
         rank = sorted(range(n), key=order.__getitem__)  # each index's row in desc
-        res = [k % q for k in desc]
         best = [[1, 0, ()], [1, 0, ()]]  # num, den, draw of sums, differences; 1/0 > all
         rng = random.Random(seed)
         for _ in range(trials):
             s = rng.randint(min_size, hi)
             indices = sorted(rng.sample(range(n), s))
-            rows = sorted(map(rank.__getitem__, indices))  # the draw in desc order
-            r = [res[t] for t in rows]
+            draw = [desc[t] for t in sorted(map(rank.__getitem__, indices))]  # descending
             for entry, kind, extra, factor in zip(best, ("sum", "diff"), (0, 1), (1, 2)):
                 num, den, _ = entry
-                bound = extra + factor * len(set(map(mod, _pair_values(r, kind), repeat(q))))
-                if bound * den < num * s * s:
-                    exact = extra + factor * len(set(_pair_values([desc[t] for t in rows], kind)))
-                    if exact * den < num * s * s:
-                        entry[:] = exact, s * s, indices
+                size = extra + factor * len(set(_pair_values(draw, kind)))
+                if size * den < num * s * s:
+                    entry[:] = size, s * s, indices
         (best_sum, argmin_sum), (best_diff, argmin_diff) = [(Fraction(a, b), d) for a, b, d in best]
     else:
         raise ParameterError(f"unknown audit mode {mode!r}")

@@ -96,6 +96,8 @@ def exact_min_union(
     _check_search(g, kind)
     if max_parts is not None and max_parts < 1:
         raise ParameterError("max_parts must be >= 1")
+    if budget < 1:
+        raise ParameterError("budget must be >= 1")
     items = list(elements)
     keys, _ = canonical_keys(items)
     ids, order = _pair_ids(keys, kind)

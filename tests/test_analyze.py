@@ -1032,7 +1032,7 @@ class TestDisjointness:
             )
             parts = [
                 list(dict.fromkeys(draw() for _ in range(rng.randint(0, 6))))
-                for _ in range(rng.randint(1, 5))
+                for _ in range(rng.randint(2, 5))
             ]
             if rng.random() < 0.3:
                 # one element of some part also joins another part
@@ -1042,6 +1042,9 @@ class TestDisjointness:
                     dst.append(x)
             rep = family_sumset_disjointness(FakeValueParts(parts))
             assert tuple(rep) == brute_disjointness(parts), parts
+        # one part has no two part sumsets to compare
+        with pytest.raises(ParameterError, match="two or more parts"):
+            family_sumset_disjointness(FakeValueParts([[draw() for _ in range(3)]]))
 
     def test_matches_brute_force_on_the_residue_path(self):
         # W(3, 40) has 741 elements, 274,911 pair sums: above
@@ -1338,8 +1341,8 @@ class TestAudit:
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("k, n", [(3, 5), (5, 19)], ids=["product35", "product519"])
     def test_sampled_audit_matches_exact_draws(self, k, n, seed):
-        # a draw is counted exactly only when its residue bound is below
-        # the minimum: no draw that sets a minimum may be skipped
+        # each draw is counted once, exactly: the minimum, its draw and the
+        # draw order of ties agree with a plain recount of every draw
         elements = build_product(k, n).union_values()
         params = dict(min_size=4, max_size=48, trials=2000, seed=seed)
         expected = exact_sampled_audit(elements, **params)
@@ -1353,9 +1356,11 @@ class TestAudit:
             random.Random(1).sample(range(-10**6, 10**6), 40),
             random.Random(2).sample(range(50), 40),
             _random_keys(30, seed=3, bits=200),
-            _dilated(random.Random(4).sample(range(-500, 500), 40), analyze.AUDIT_PRIME),
+            _dilated(random.Random(4).sample(range(-500, 500), 40), 2**30 - 35),
+            # Q * x + (x mod 2), Q = 2^30 - 35: all even, and one step off a dilation
+            [(2**30 - 35) * x + x % 2 for x in random.Random(5).sample(range(1, 10**4), 40)],
         ],
-        ids=["sparse", "dense-ties", "wide", "dilated"],
+        ids=["sparse", "dense-ties", "wide", "dilated", "near-dilated"],
     )
     def test_sampled_audit_on_ints_matches_exact_draws(self, elements):
         params = dict(min_size=3, max_size=25, trials=400, seed=7)
@@ -1363,29 +1368,6 @@ class TestAudit:
         assert subset_doubling_audit(elements, "sample", **params) == AuditResult(
             mode="sample", n_elements=len(elements), **expected
         )
-
-    def test_near_dilated_keys_are_recounted_in_every_draw(self, monkeypatch):
-        # Keys Q*x + (x mod 2) are all even, and (k - min) // 2 leaves them
-        # two residues, 0 and (Q + 1) / 2 here, so each residue bound is far
-        # below the minimum and every draw's keys are counted exactly. A
-        # residue is below Q, and every draw holds a key above it: at most
-        # two of the 40 keys are below Q.
-        q = analyze.AUDIT_PRIME
-        keys = [q * x + x % 2 for x in random.Random(5).sample(range(1, 10**4), 40)]
-        normalised, _ = canonical_keys(keys)
-        assert {k % q for k in normalised} == {0, (q + 1) // 2}
-        assert sum(k < q for k in normalised) <= 2
-        params = dict(min_size=4, max_size=20, trials=200, seed=3)
-        exact, pair_values = [], analyze._pair_values
-
-        def recording(desc, mode):
-            exact.append(max(desc) >= q)
-            return pair_values(desc, mode)
-
-        monkeypatch.setattr(analyze, "_pair_values", recording)
-        res = subset_doubling_audit(keys, "sample", **params)
-        assert exact.count(True) == 2 * params["trials"]
-        assert res == AuditResult("sample", len(keys), **exact_sampled_audit(keys, **params))
 
     def test_exhaustive_at_the_limit(self):
         vals = build_w(3, 30).union_values()[: analyze.EXHAUSTIVE_AUDIT_LIMIT]

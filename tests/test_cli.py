@@ -207,6 +207,36 @@ def test_malformed_delta_prime_is_a_config_error(delta_prime, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "build",
+    [["--kind", "product", "--k", "3", "--n", "5"], ["--kind", "meyer", "--nmax", "4"]],
+    ids=["product35", "meyer4"],
+)
+def test_disjointness_of_one_part_is_a_config_error(build, tmp_path, capsys):
+    # one part has no pair of part sumsets to compare: no PASS
+    path = tmp_path / "family.json"
+    assert main(["build", *build, "--out", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--check", "disjoint", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_search_budget_below_one_is_a_config_error(budget, tmp_path, capsys):
+    # no search can run on no nodes: no TIMEOUT for every t
+    out = tmp_path / "report.json"
+    argv = ["decompose", "--values", "1,2,3", "--g", "1", "--kind", "sum", "--budget", budget]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestCertifyDecompose:
     def test_certificate_pass(self, tmp_path):
         out = tmp_path / "w40.json"

@@ -3,7 +3,9 @@ Freiman isomorphisms, so a set and its image under a translation, a
 negation or a dilation must give the same verdicts, counts, energies and
 minima. Under the increasing maps every witness, repeated value, argmin
 and decomposition maps to its image as well; under negation each witness
-value is the image of a value with the same count.
+value is the image of a value with the same count. A family moved by an
+increasing map keeps its census and its disjointness verdict, labels and
+all, with every reported value mapped.
 """
 
 import functools
@@ -18,12 +20,14 @@ import pytest
 import b2sets
 from b2sets.analyze import (
     additive_energy,
+    collision_census,
+    family_sumset_disjointness,
     is_b2,
     is_b2_circ,
     rep_profile,
     subset_doubling_audit,
 )
-from b2sets.construct import build_product, build_w
+from b2sets.construct import Part, build_product, build_w, build_w_circ
 from b2sets.decompose import exact_min_union, greedy_union
 from b2sets.digitnum import as_int
 
@@ -44,6 +48,30 @@ MAPS = {
 }
 
 SEARCH_BUDGET = 20_000
+
+# the increasing maps a family's element values are moved by
+FAMILY_MAPS = {
+    "translate": (1, 10**30 + 7),
+    "dilate-2^61-1": (2**61 - 1, 0),
+    "dilate-2^31-19": (2**31 - 19, 0),
+    "dilate-2^40": (2**40, 0),
+}
+
+
+def _with_shared_part(family):
+    """The family and one more part made of elements of parts 1 and 3, so
+    its part sumsets meet."""
+    first, _, third = family.parts[:3]
+    return family._replace(
+        parts=family.parts + (Part("shared", first.elements[:3] + third.elements[:2]),)
+    )
+
+
+FAMILIES = {
+    "w310": lambda: build_w(3, 10),
+    "wc514": lambda: build_w_circ(5, 14),
+    "w310-shared": lambda: _with_shared_part(build_w(3, 10)),
+}
 
 
 def _apply(x, a, b):
@@ -198,3 +226,54 @@ def test_dilated_sets_cost_what_the_set_costs():
     times = {name: float(t) for name, t in (line.rsplit(" ", 1) for line in proc.stdout.splitlines())}
     assert len(times) == 5
     assert all(t < 2 for t in times.values()), times
+
+
+def _moved(family, a, b):
+    """The family with every element value x moved to a * x + b and every
+    label kept."""
+    return family._replace(
+        parts=tuple(
+            part._replace(
+                elements=tuple(e._replace(value=a * as_int(e.value) + b) for e in part.elements)
+            )
+            for part in family.parts
+        )
+    )
+
+
+def _labels(record):
+    """Everything a census record holds but its value: the labels of each
+    representation, the part pair and the classification."""
+    reps = [tuple((e.point, e.vector_index) for e in rep) for rep in record.reps]
+    return reps, record.part_pair, record.classification, record.pattern
+
+
+@pytest.mark.parametrize("image", list(FAMILY_MAPS))
+@pytest.mark.parametrize("mode", ["sum", "diff"])
+@pytest.mark.parametrize("name", ["w310", "wc514"])
+def test_census_commutes_with_freiman_isomorphisms(name, mode, image):
+    family = FAMILIES[name]()
+    a, b = FAMILY_MAPS[image]
+    want = collision_census(family, mode)
+    got = collision_census(_moved(family, a, b), mode)
+    assert want.records
+    assert (got.n_elements, len(got.records), got.predicted, got.anomalies) == (
+        want.n_elements, len(want.records), want.predicted, want.anomalies,
+    )
+    assert list(map(_labels, got.records)) == list(map(_labels, want.records))
+    assert [r.value for r in got.records] == [
+        _map_value(r.value, mode, a, b) for r in want.records
+    ]
+
+
+@pytest.mark.parametrize("image", list(FAMILY_MAPS))
+@pytest.mark.parametrize("name", ["w310", "wc514", "w310-shared"])
+def test_disjointness_commutes_with_freiman_isomorphisms(name, image):
+    family = FAMILIES[name]()
+    a, b = FAMILY_MAPS[image]
+    want = family_sumset_disjointness(family)
+    got = family_sumset_disjointness(_moved(family, a, b))
+    assert want.passed == (name != "w310-shared")
+    if not want.passed:
+        want = want._replace(witness_value=_map_value(want.witness_value, "sum", a, b))
+    assert got == want
